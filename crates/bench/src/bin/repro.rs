@@ -10,7 +10,7 @@
 //! (the §6 heterogeneous-cluster and mid-run-join demonstrations), `all`.
 //!
 //! `repro perf [--smoke] [--backend sim|threads|sockets]
-//! [--lookahead global|per_pair] [--sync epoch|async|both] [--no-batch]`
+//! [--sync epoch|async|both]`
 //! is separate from `all`: it measures *host* wall-clock and ops/sec
 //! (nondeterministic) and writes `BENCH_PERF.json` at the repo root — or,
 //! with `--backend threads` (one OS thread per node) or `--backend
@@ -37,7 +37,7 @@
 use jsplit_bench::{ablation, heat, measure, perf, table1, table2, table3, table4, tracecmd};
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, Lookahead, NodeSpec, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, NodeSpec, SyncMode};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,18 +73,6 @@ fn main() {
                 }
             },
         };
-        let lookahead = match args.iter().position(|a| a == "--lookahead") {
-            None => Lookahead::default(),
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("global") => Lookahead::Global,
-                Some("per_pair") => Lookahead::PerPair,
-                other => {
-                    eprintln!("repro perf: unknown --lookahead {other:?} (want global|per_pair)");
-                    std::process::exit(2);
-                }
-            },
-        };
-        let wire_batch = !args.iter().any(|a| a == "--no-batch");
         // Sync protocol only exists on the threads backend; there the
         // default is measuring both, so BENCH_LIVE.json always carries the
         // epoch-vs-async comparison.
@@ -106,7 +94,7 @@ fn main() {
         // `--classic` pins the pre-predecode enum-decode interpreter for
         // same-host A/B throughput comparison; rows carry `"predecode"`.
         let classic = args.iter().any(|a| a == "--classic");
-        let pts = perf::run(smoke, backend, lookahead, wire_batch, classic, &syncs);
+        let pts = perf::run(smoke, backend, classic, &syncs);
         print!("{}", perf::render(&pts));
         let speedup = perf::live_speedup(&pts);
         if let Some(sp) = &speedup {
@@ -117,7 +105,7 @@ fn main() {
                 sp.speedup()
             );
         }
-        match perf::write_json(&pts, smoke, backend, lookahead, wire_batch, speedup.as_ref()) {
+        match perf::write_json(&pts, smoke, backend, speedup.as_ref()) {
             Ok(path) => println!("\nwrote {}", path.display()),
             Err(e) => eprintln!("\nfailed to write perf json: {e}"),
         }

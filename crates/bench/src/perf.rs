@@ -29,7 +29,7 @@ use crate::measure::{render_table, run_clean};
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::telemetry::lag_percentiles;
-use jsplit_runtime::{Backend, ClusterConfig, Lookahead, MetricsConfig, SyncMode, SyncStats};
+use jsplit_runtime::{Backend, ClusterConfig, MetricsConfig, SyncMode, SyncStats};
 use jsplit_trace::{LogHist, SpanKind, TelemetrySummary, WallProfile, ALL_SPAN_KINDS};
 
 /// One measured workload.
@@ -121,8 +121,6 @@ pub fn workloads(smoke: bool) -> Vec<(&'static str, Program)> {
 pub fn run(
     smoke: bool,
     backend: Backend,
-    lookahead: Lookahead,
-    wire_batch: bool,
     classic: bool,
     syncs: &[SyncMode],
 ) -> Vec<PerfPoint> {
@@ -137,9 +135,7 @@ pub fn run(
         for (app, p) in workloads(smoke) {
             let mut cfg = ClusterConfig::javasplit(JvmProfile::SunSim, NODES)
                 .with_backend(backend)
-                .with_lookahead(lookahead)
                 .with_sync(sync_mode)
-                .with_wire_batch(wire_batch)
                 .with_classic_interp(classic)
                 .with_profile(backend == Backend::Threads);
             if live {
@@ -154,9 +150,7 @@ pub fn run(
             let wall_1node_secs = live.then(|| {
                 let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 1)
                     .with_backend(backend)
-                    .with_lookahead(lookahead)
-                    .with_sync(sync_mode)
-                    .with_wire_batch(wire_batch);
+                    .with_sync(sync_mode);
                 let t0 = Instant::now();
                 run_clean(cfg, &p);
                 t0.elapsed().as_secs_f64()
@@ -245,8 +239,6 @@ pub fn to_json(
     pts: &[PerfPoint],
     smoke: bool,
     backend: Backend,
-    lookahead: Lookahead,
-    wire_batch: bool,
     speedup: Option<&LiveSpeedup>,
 ) -> String {
     let mut s = String::from("{\n");
@@ -259,14 +251,6 @@ pub fn to_json(
             Backend::Sockets => "sockets",
         }
     ));
-    s.push_str(&format!(
-        "  \"lookahead\": \"{}\",\n",
-        match lookahead {
-            Lookahead::Global => "global",
-            Lookahead::PerPair => "per_pair",
-        }
-    ));
-    s.push_str(&format!("  \"wire_batch\": {wire_batch},\n"));
     s.push_str(&format!(
         "  \"config\": \"javasplit {NODES} nodes, SunSim profile, 16 app threads\",\n"
     ));
@@ -382,8 +366,6 @@ pub fn write_json(
     pts: &[PerfPoint],
     smoke: bool,
     backend: Backend,
-    lookahead: Lookahead,
-    wire_batch: bool,
     speedup: Option<&LiveSpeedup>,
 ) -> std::io::Result<PathBuf> {
     // Both live backends land in BENCH_LIVE.json; the `backend` key
@@ -394,7 +376,7 @@ pub fn write_json(
     };
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
     let mut f = std::fs::File::create(&path)?;
-    f.write_all(to_json(pts, smoke, backend, lookahead, wire_batch, speedup).as_bytes())?;
+    f.write_all(to_json(pts, smoke, backend, speedup).as_bytes())?;
     Ok(path.canonicalize().unwrap_or(path))
 }
 
@@ -460,11 +442,10 @@ mod tests {
         // (faster here) async row.
         let sp = live_speedup(&pts).expect("tsp point carries 1-node wall");
         assert_eq!(sp.wall_8node_secs, 1.5);
-        let j = to_json(&pts, true, Backend::Threads, Lookahead::PerPair, true, Some(&sp));
+        let j = to_json(&pts, true, Backend::Threads, Some(&sp));
         assert!(j.contains("\"smoke\": true"));
         assert!(j.contains("\"backend\": \"threads\""));
-        assert!(j.contains("\"lookahead\": \"per_pair\""));
-        assert!(j.contains("\"wire_batch\": true"));
+        assert!(!j.contains("lookahead") && !j.contains("wire_batch"));
         assert!(j.contains("\"speedup\": 4.00"));
         assert!(j.contains("\"app\": \"tsp\""));
         assert!(j.contains("\"sync\": \"epoch\""));
@@ -513,7 +494,7 @@ mod tests {
         }];
         assert!(pts[0].speedup().is_none());
         assert!(live_speedup(&pts).is_none());
-        let j = to_json(&pts, false, Backend::Sim, Lookahead::default(), true, None);
+        let j = to_json(&pts, false, Backend::Sim, None);
         assert!(!j.contains("tsp_speedup"));
         assert!(!j.contains("wall_1node_secs"));
         assert!(!j.contains("wall_profile"));
@@ -557,7 +538,7 @@ mod tests {
             telemetry: None,
         }];
         assert_eq!(pts[0].dominant_stall_cell().split(' ').next(), Some("barrier_wait"));
-        let j = to_json(&pts, true, Backend::Threads, Lookahead::PerPair, true, None);
+        let j = to_json(&pts, true, Backend::Threads, None);
         assert!(j.contains("\"wall_profile\": ["));
         assert!(j.contains("\"node\": 0"));
         for k in ALL_SPAN_KINDS {

@@ -63,20 +63,6 @@ impl Default for SocketsConfig {
     }
 }
 
-/// How the threads backend bounds each synchronization window (sim runs are
-/// unaffected: the virtual-time queue is globally ordered there).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Lookahead {
-    /// One global window width: the minimum cross-node base latency over
-    /// all senders. Simple, but the cheapest link throttles everyone.
-    Global,
-    /// Null-message-style per-pair horizons: each node advances to the
-    /// minimum over peers of `peer's earliest send + peer's base latency`,
-    /// so lightly-coupled and idle peers don't constrain progress.
-    #[default]
-    PerPair,
-}
-
 /// How the threads backend's nodes agree on safe horizons.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncMode {
@@ -179,15 +165,9 @@ pub struct ClusterConfig {
     /// Which driver executes the run (sim by default; mid-run joins still
     /// require the sim backend).
     pub backend: Backend,
-    /// Window-bound strategy for the threads backend.
-    pub lookahead: Lookahead,
     /// Synchronization protocol for the threads backend (epoch barrier
     /// rounds vs asynchronous per-pair horizons; results are identical).
     pub sync: SyncMode,
-    /// Coalesce per-peer wire messages into frames (threads backend). Off
-    /// ships every message as its own frame; statistics and results are
-    /// identical either way.
-    pub wire_batch: bool,
     /// Live telemetry: lock-free registry + wall-clock sampler (+ watchdog
     /// and flight recorder on the threads backend). `None` = off, the
     /// zero-cost default; on or off, runs are bit-identical.
@@ -228,9 +208,7 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            lookahead: Lookahead::default(),
             sync: SyncMode::default(),
-            wire_batch: true,
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
@@ -255,9 +233,7 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            lookahead: Lookahead::default(),
             sync: SyncMode::default(),
-            wire_batch: true,
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
@@ -282,9 +258,7 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            lookahead: Lookahead::default(),
             sync: SyncMode::default(),
-            wire_batch: true,
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
@@ -342,21 +316,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Select the threads backend's window-bound strategy.
-    pub fn with_lookahead(mut self, lookahead: Lookahead) -> Self {
-        self.lookahead = lookahead;
-        self
-    }
-
     /// Select the threads backend's synchronization protocol.
     pub fn with_sync(mut self, sync: SyncMode) -> Self {
         self.sync = sync;
-        self
-    }
-
-    /// Toggle wire batching on the threads backend.
-    pub fn with_wire_batch(mut self, on: bool) -> Self {
-        self.wire_batch = on;
         self
     }
 
@@ -416,17 +378,10 @@ mod tests {
         assert_eq!(th.backend, Backend::Threads);
         assert!(!th.profile);
         assert!(ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_profile(true).profile);
-        assert_eq!(th.lookahead, Lookahead::PerPair);
         assert_eq!(th.sync, SyncMode::Epoch);
-        assert!(th.wire_batch);
         let asy = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_sync(SyncMode::Async);
         assert_eq!(asy.sync, SyncMode::Async);
-        let tuned = ClusterConfig::javasplit(JvmProfile::SunSim, 2)
-            .with_lookahead(Lookahead::Global)
-            .with_wire_batch(false);
-        assert_eq!(tuned.lookahead, Lookahead::Global);
-        assert!(!tuned.wire_batch);
-        assert!(tuned.metrics.is_none());
+        assert!(asy.metrics.is_none());
         let m = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_metrics(MetricsConfig {
             watchdog_budget: Some(std::time::Duration::from_millis(200)),
             ..MetricsConfig::default()

@@ -4,24 +4,21 @@
 //! derive a safe virtual-time horizon → execute local events below it →
 //! publish progress — the conservative PDES core shared by every parallel
 //! backend. What *varies* per backend is how progress crosses node
-//! boundaries, and that seam is two small traits:
+//! boundaries, and that seam is two small traits, one per sync mode:
 //!
 //! * [`EpochPeers`] — the windowed (barrier-round) protocol's four
 //!   primitives: round barrier, slot publish, publish wait, slot read.
 //!   The threads backend implements them over shared-memory atomics and a
 //!   `std::sync::Barrier`; the sockets backend over `Barrier`/`BarrierAck`/
 //!   `Slot`/`Slots` envelopes relayed by the coordinator.
-//! * [`WirePeers`] — what the barrier-free async mode needs from a
-//!   message-passing fabric whose peers share no memory: outcome polling,
-//!   idle-state reports for the coordinator's termination scan, and the
-//!   final-flush rendezvous.
-//!
-//! The in-process async mode ([`SyncEngine::run_async`]) additionally
-//! leans on [`AsyncShared`] — shared-memory slots, the §14.4 send-coverage
-//! invariant and CAS-decided termination — which has no wire analogue:
-//! over sockets the same lookahead bounds ride pure per-channel
-//! Chandy–Misra–Bryant promises and the *coordinator* detects termination
-//! ([`SyncEngine::run_async_wire`], DESIGN.md §16.3).
+//! * [`AsyncPeers`] — the five points where the barrier-free loop
+//!   ([`SyncEngine::run_async`]) differs between peers that share memory
+//!   and peers that do not: horizon source, null policy, per-burst
+//!   publication, termination and the shutdown flush rendezvous. The
+//!   threads backend implements them over [`AsyncShared`] (published
+//!   slots, CAS-decided termination); the sockets backend over pure
+//!   per-channel Chandy–Misra–Bryant promises with the *coordinator*
+//!   detecting termination (DESIGN.md §14, §16.3).
 //!
 //! # Conservative virtual-time windows
 //!
@@ -33,10 +30,9 @@
 //!
 //! ## Lookahead
 //!
-//! [`Lookahead::Global`] bounds every window by the cheapest sender's base
-//! latency: horizon = `min_next + min_base`. [`Lookahead::PerPair`] uses
-//! the published per-node promises (null-message style): node `j` advances
-//! to
+//! Every horizon — epoch rounds and async snapshots alike — comes from one
+//! rule, [`Horizons::horizon`], over the published per-node promises
+//! (null-message style): node `j` advances to
 //!
 //! ```text
 //! h_j = min( min_{i≠j} (next_i + base_i),          direct influence
@@ -55,17 +51,21 @@
 //! window. Idle peers otherwise cost nothing — `∞ + base` never binds —
 //! which is what lets lightly-coupled topologies run long windows.
 //!
+//! Each term adds some `base_i ≥ min(base)` to some `next_i ≥ min(next)`,
+//! so `h_j ≥ min(next) + min(base)`: a single cluster-wide window of the
+//! cheapest base latency is never longer than this rule's.
+//!
 //! Within a window nodes run concurrently on real CPUs (the wall-clock
 //! speedup), yet each node's virtual-time execution is identical to what
 //! the sequential simulator would do — program output and protocol
-//! counters match the sim backend under either lookahead mode and under
-//! every backend (asserted by the cross-backend differential tests). The
-//! residual freedom is tie-ordering of *distinct nodes'* events at exactly
-//! equal virtual times, which the deterministic key resolves run-to-run
+//! counters match the sim backend under every backend and sync mode
+//! (asserted by the cross-backend differential tests). The residual
+//! freedom is tie-ordering of *distinct nodes'* events at exactly equal
+//! virtual times, which the deterministic key resolves run-to-run
 //! reproducibly.
 
 use crate::balance::{BalancerState, LoadBalancer};
-use crate::config::{Lookahead, Mode};
+use crate::config::Mode;
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
 use jsplit_dsm::Msg;
@@ -97,36 +97,27 @@ pub(crate) fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
 /// cluster constants, owned (small vectors) by each node's engine.
 #[derive(Debug, Clone)]
 pub(crate) struct Horizons {
-    /// Global-mode window width: the minimum cross-node per-message base
-    /// latency (`u64::MAX` for a single node — one window runs everything).
-    pub window_ps: u64,
     /// Per-sender zero-byte latency (ps): the lookahead each node's
     /// promise is extended by.
     pub base_ps: Vec<u64>,
-    /// `min_{i≠j} base_ps[i]` per node `j` (the self-echo return hop).
-    pub min_peer_base: Vec<u64>,
-    pub lookahead: Lookahead,
     pub max_ops: u64,
 }
 
 impl Horizons {
-    /// Derive the cluster's lookahead tables from its per-node base
-    /// latencies.
-    pub fn new(base_ps: Vec<u64>, lookahead: Lookahead, max_ops: u64) -> Horizons {
-        let n = base_ps.len();
-        let window_ps = base_ps.iter().copied().min().unwrap_or(u64::MAX);
-        let min_peer_base = (0..n)
-            .map(|j| {
-                base_ps
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| i != j)
-                    .map(|(_, b)| *b)
-                    .min()
-                    .unwrap_or(u64::MAX)
-            })
-            .collect();
-        Horizons { window_ps, base_ps, min_peer_base, lookahead, max_ops }
+    /// The safe horizon of node `me` given every node's published `next`
+    /// (module docs give the rule and its argument). Saturating: idle
+    /// peers (`next = ∞`) never bind, and a single node — no peer, so an
+    /// infinite return hop — gets one unbounded window.
+    pub fn horizon(&self, me: usize, nexts: &[u64]) -> u64 {
+        let mut direct = u64::MAX;
+        let mut echo_hop = u64::MAX;
+        for (i, (nx, &base)) in nexts.iter().zip(&self.base_ps).enumerate() {
+            if i != me {
+                direct = direct.min(nx.saturating_add(base));
+                echo_hop = echo_hop.min(base);
+            }
+        }
+        direct.min(nexts[me].saturating_add(self.base_ps[me]).saturating_add(echo_hop))
     }
 }
 
@@ -171,20 +162,43 @@ pub(crate) trait EpochPeers {
     fn read(&mut self, round: u64, out: &mut [EpochSlot]);
 }
 
-/// What the barrier-free async mode needs from a fabric whose peers live
-/// in other processes (the sockets backend): the coordinator owns
-/// termination (DESIGN.md §16.3), the engine only reports and polls.
-pub(crate) trait WirePeers {
-    /// Has the coordinator announced the run's outcome? Non-blocking;
-    /// returns an [`async_done`] value once decided.
-    fn poll_done(&mut self) -> Option<u64>;
-    /// Progress report for the coordinator's termination scan. Must be
-    /// called only after the flush that precedes it, so it rides the
-    /// stream *behind* every record it accounts for.
-    fn send_state(&mut self, qhead: u64, drained: u64, live: u64, ops: u64);
-    /// Final-flush rendezvous: announce this node's last flush, block
-    /// until every node's leftovers have been relayed into our channel.
+/// The barrier-free protocol's seam: the five points where the one async
+/// loop ([`SyncEngine::run_async`]) differs between peers that share
+/// memory (the threads backend, over [`AsyncShared`]) and peers that only
+/// exchange messages (the sockets backend, whose coordinator owns
+/// termination). DESIGN.md §16.3 tabulates both implementations.
+pub(crate) trait AsyncPeers {
+    /// **Horizon source.** A safe horizon from published peer state, read
+    /// without blocking — the loop takes the max of it and the channel
+    /// clocks. `0` when the peers publish nothing beyond their promises.
+    fn snapshot_horizon(&mut self, eng: &SyncEngine) -> u64;
+    /// **Null policy.** Whether peer `dst`, last promised `sent`, needs a
+    /// standalone null carrying the strictly higher `promise` now.
+    fn wants_null(&self, dst: usize, sent: u64, promise: u64) -> bool;
+    /// Null policy, demand side: raised for exactly the park on the
+    /// inbound channel.
+    fn set_parked(&mut self, _me: usize, _parked: bool) {}
+    /// **Per-burst publication**, opening: runs before the burst's drain.
+    fn open_burst(&mut self, _me: usize) {}
+    /// Per-burst publication, closing: the burst drained `drained` data
+    /// records and executed `burst` events below `horizon`.
+    fn publish_burst(&mut self, eng: &mut SyncEngine, drained: u64, burst: u64, horizon: u64);
+    /// **Termination**, polled after every flush. `Again` also covers
+    /// "outcome just decided": the next poll reports it.
+    fn poll(&mut self, eng: &mut SyncEngine, horizon: u64) -> AsyncPoll;
+    /// **Shutdown flush rendezvous**: announce this node's final flush and
+    /// block until every node's leftovers are in our inbound channel.
     fn flush_rendezvous(&mut self);
+}
+
+/// What [`AsyncPeers::poll`] tells the loop to do next.
+pub(crate) enum AsyncPoll {
+    /// The run is over with this [`async_done`] outcome.
+    Done(u64),
+    /// Loop straight around: work may be executable.
+    Again,
+    /// Nothing to run below the horizon: park unless the snapshot moved.
+    Idle,
 }
 
 /// Cross-node state for the in-process asynchronous sync mode (DESIGN.md
@@ -263,14 +277,7 @@ pub(crate) mod async_done {
 impl AsyncShared {
     pub fn new(n: usize) -> AsyncShared {
         AsyncShared {
-            slots: (0..n)
-                .map(|_| AsyncSlot {
-                    version: AtomicU64::new(0),
-                    next: AtomicU64::new(0),
-                    qnext: AtomicU64::new(0),
-                    parked: AtomicBool::new(false),
-                })
-                .collect(),
+            slots: (0..n).map(|_| AsyncSlot::default()).collect(),
             live: AtomicU64::new(1),
             spawns_sent: AtomicU64::new(0),
             spawns_recv: AtomicU64::new(0),
@@ -281,13 +288,6 @@ impl AsyncShared {
             done: AtomicU64::new(async_done::RUNNING),
             flushed: AtomicU64::new(0),
         }
-    }
-
-    /// Race to set the terminal outcome; `true` for the winning node,
-    /// which owes its peers a wakeup (they may be parked on the inbound
-    /// channel and would otherwise only notice at the next timeout).
-    pub fn decide(&self, outcome: u64) -> bool {
-        self.done.compare_exchange(async_done::RUNNING, outcome, Ordering::SeqCst, Ordering::SeqCst).is_ok()
     }
 
     /// Finish detection without a rendezvous (§14.3): `live == 0` with
@@ -379,9 +379,11 @@ pub(crate) struct SyncEngine {
     pub node: NodeRuntime,
     pub endpoint: ChannelEndpoint,
     pub hz: Horizons,
-    /// In-process async-mode shared state (`None` under epoch sync and in
-    /// the sockets backend). Its presence also arms the eager global
-    /// counter increments in [`SyncEngine::transmit`].
+    /// Send-coverage state for async peers that share memory (§14.4;
+    /// `None` under epoch sync and in the sockets backend). Its presence
+    /// arms the eager global counter increments in
+    /// [`SyncEngine::transmit`], the drain's republish-then-ack and the
+    /// pruning of `unacked`.
     pub asy: Option<Arc<AsyncShared>>,
     mode: Mode,
     thread_main: MethodId,
@@ -423,6 +425,8 @@ pub(crate) struct SyncEngine {
     unacked: Vec<VecDeque<(u64, u64)>>,
     /// Reused per-drain record counts per source (ack credits).
     ack_scratch: Vec<u64>,
+    /// Last null promise shipped per peer (async sync).
+    promised: Vec<u64>,
     windows: u64,
     barrier_waits: u64,
     /// Times the safe horizon strictly advanced (async sync only).
@@ -492,6 +496,7 @@ impl SyncEngine {
             sent_to: vec![0; n_nodes],
             unacked: (0..n_nodes).map(|_| VecDeque::new()).collect(),
             ack_scratch: vec![0; n_nodes],
+            promised: vec![0; n_nodes],
             windows: 0,
             barrier_waits: 0,
             horizon_advances: 0,
@@ -548,7 +553,7 @@ impl SyncEngine {
 
     /// Log one flight-recorder transition (no-op when disabled).
     #[inline]
-    fn fly(&self, tag: FlightTag, a: u64, b: u64) {
+    pub(crate) fn fly(&self, tag: FlightTag, a: u64, b: u64) {
         if let Some(f) = &self.flight {
             f.log(self.endpoint.id, tag, a, b);
         }
@@ -558,7 +563,7 @@ impl SyncEngine {
     /// counters the loop already maintains. Called at points the hot path
     /// visits anyway (epoch round publish, async burst publish, pre-park);
     /// with metrics off the whole thing is one untaken branch.
-    fn publish_metrics(&self, horizon: u64, next: u64, qnext: u64) {
+    pub(crate) fn publish_metrics(&self, horizon: u64, next: u64, qnext: u64) {
         let Some(reg) = &self.metrics else {
             return;
         };
@@ -584,6 +589,15 @@ impl SyncEngine {
             reg.set(me, Metric::DsmInvalidations, d.invalidations);
             reg.set(me, Metric::DsmLockGrants, d.grants_sent);
         }
+    }
+
+    /// Raise or clear the parked gauge and log the matching flight mark,
+    /// around either sync mode's blocking wait.
+    fn note_park(&self, parked: bool, a: u64, b: u64) {
+        if let Some(reg) = &self.metrics {
+            reg.set(self.endpoint.id, Metric::Parked, u64::from(parked));
+        }
+        self.fly(if parked { FlightTag::Park } else { FlightTag::Unpark }, a, b);
     }
 
     /// Ship the registry row cross-process (no-op when no pump is armed).
@@ -747,26 +761,6 @@ impl SyncEngine {
         }
     }
 
-    /// Drain inbound frames into the local queue, deterministically:
-    /// arrival interleaving across senders is scheduler noise, so sort by
-    /// the virtual-time key before assigning local sequence numbers.
-    /// Records decode in place from the frame buffers (which return to
-    /// their senders' pools).
-    fn drain_inbox(&mut self) {
-        let mut batch = std::mem::take(&mut self.drain_scratch);
-        self.endpoint.drain_frames(&mut |src, _kind, deliver_ps, step_ps, seq, payload| {
-            let msg = Msg::decode_from(&mut Reader::new(payload)).expect("wire codec round-trip");
-            batch.push((deliver_ps, step_ps, src, seq, msg));
-        });
-        if !batch.is_empty() {
-            batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
-            for (deliver, step, src, _, msg) in batch.drain(..) {
-                self.push(deliver, step, src, NodeEv::Deliver { src, msg });
-            }
-        }
-        self.drain_scratch = batch;
-    }
-
     /// Pop-side of the event loop: execute one scheduled event at `time`
     /// whose payload sits at slab `idx` (shared by both sync modes).
     fn process_one(&mut self, time: u64, idx: usize) {
@@ -803,6 +797,7 @@ impl SyncEngine {
         let mut aborted = false;
         let mut round: u64 = 0;
         let mut slots = vec![EpochSlot::default(); n];
+        let mut nexts: Vec<u64> = Vec::with_capacity(n);
         loop {
             round += 1;
             // Span accounting (when on) is boundary-chained: each `mark`
@@ -828,7 +823,7 @@ impl SyncEngine {
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::BarrierWait);
             }
-            self.drain_inbox();
+            self.drain_inbox(None);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::InboxDrain);
             }
@@ -853,27 +848,17 @@ impl SyncEngine {
             // Attribution splits at the first park: time up to it is
             // SlotSpin, the remainder CondvarWait.
             let mut profiler = self.profiler.take();
-            let metrics = self.metrics.clone();
-            let flight = self.flight.clone();
             let parked = peers.wait(round, &mut || {
                 if let Some(p) = &mut profiler {
                     p.mark(SpanKind::SlotSpin);
                 }
                 // The parked gauge + flight mark ride the same hook: it
                 // runs once, right before the blocking path parks us.
-                if let Some(reg) = &metrics {
-                    reg.set(me as NodeId, Metric::Parked, 1);
-                }
-                if let Some(f) = &flight {
-                    f.log(me as NodeId, FlightTag::Park, round, next);
-                }
+                self.note_park(true, round, next);
             });
             self.profiler = profiler;
             if parked {
-                if let Some(reg) = &self.metrics {
-                    reg.set(me as NodeId, Metric::Parked, 0);
-                }
-                self.fly(FlightTag::Unpark, round, next);
+                self.note_park(false, round, next);
             }
             if let Some(p) = &mut self.profiler {
                 p.mark(if parked { SpanKind::CondvarWait } else { SpanKind::SlotSpin });
@@ -910,27 +895,10 @@ impl SyncEngine {
             }
             self.windows += 1;
             // The safe horizon: no message can be delivered to this node
-            // below it (module docs give the argument). n == 1 degenerates
-            // to one unbounded window.
-            let horizon = if n == 1 {
-                u64::MAX
-            } else {
-                match self.hz.lookahead {
-                    Lookahead::Global => min_next.saturating_add(self.hz.window_ps),
-                    Lookahead::PerPair => {
-                        let mut h = slots[me]
-                            .next_event
-                            .saturating_add(self.hz.base_ps[me])
-                            .saturating_add(self.hz.min_peer_base[me]);
-                        for (i, s) in slots.iter().enumerate() {
-                            if i != me {
-                                h = h.min(s.next_event.saturating_add(self.hz.base_ps[i]));
-                            }
-                        }
-                        h
-                    }
-                }
-            };
+            // below it (module docs give the argument).
+            nexts.clear();
+            nexts.extend(slots.iter().map(|s| s.next_event));
+            let horizon = self.hz.horizon(me, &nexts);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::Decide);
                 if horizon != u64::MAX && min_next != u64::MAX {
@@ -948,11 +916,6 @@ impl SyncEngine {
             }
         }
         self.fly(FlightTag::Decide, if deadlocked { 2 } else if aborted { 3 } else { 1 }, round);
-        // Final publish so the sampler's closing sample carries end-of-run
-        // counters (the horizon gauge goes to ∞: the run is over, nothing
-        // lags anything).
-        self.publish_metrics(u64::MAX, self.queue_head(), self.queue_head());
-        self.pump_metrics(true);
         self.finish_outcome(deadlocked, aborted)
     }
 
@@ -960,6 +923,12 @@ impl SyncEngine {
     /// loop), reconcile against the independently measured thread wall
     /// time, and package the outcome (shared by both sync modes).
     fn finish_outcome(mut self, deadlocked: bool, aborted: bool) -> NodeOutcome {
+        // Final publish so the sampler's closing sample carries end-of-run
+        // counters and whole-run mean rates come out right (the horizon
+        // gauge goes to ∞: the run is over, nothing lags anything). Forced
+        // past the pump's rate limit.
+        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
+        self.pump_metrics(true);
         let profile = self.profiler.take().map(|mut rec| {
             rec.mark(SpanKind::Decide);
             let wall_ns = u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -991,16 +960,21 @@ impl SyncEngine {
     /// in flight is always covered by its *sender's* published `next`,
     /// which is what keeps the snapshot horizon valid with traffic in
     /// flight, without any global quiescence check.
-    fn async_next(&self) -> u64 {
+    pub(crate) fn async_next(&self) -> u64 {
         let floor = self.unacked.iter().filter_map(|u| u.front().map(|&(_, t)| t)).min().unwrap_or(u64::MAX);
         self.queue_head().min(floor)
+    }
+
+    /// Cumulative `SpawnThread` messages installed on this node.
+    pub(crate) fn spawns_recv(&self) -> u64 {
+        self.spawns_recv
     }
 
     /// Bare earliest queued event — the node's *executable* demand, as
     /// opposed to the coverage-clamped [`Self::async_next`]. Published as
     /// `qnext` so peers can tell "parked on a runnable event" from
     /// "floor merely pinned by an un-drained send".
-    fn queue_head(&self) -> u64 {
+    pub(crate) fn queue_head(&self) -> u64 {
         self.events.peek().map_or(u64::MAX, |Reverse((t, ..))| *t)
     }
 
@@ -1008,7 +982,10 @@ impl SyncEngine {
     /// Channels are FIFO per pair, so the receiver's drain count
     /// identifies exactly the prefix of `unacked` whose coverage has
     /// passed to the receiver's published `next`.
-    fn prune_acked(&mut self, asy: &AsyncShared) {
+    fn prune_acked(&mut self) {
+        let Some(asy) = &self.asy else {
+            return;
+        };
         let me = self.endpoint.id as usize;
         let n = self.n_nodes;
         for dst in 0..n {
@@ -1022,15 +999,19 @@ impl SyncEngine {
         }
     }
 
-    /// Drain inbound frames under async sync: data records merge into the
-    /// event queue exactly as [`SyncEngine::drain_inbox`], and additionally
-    /// advance the per-peer channel clocks — a data record's delivery time
-    /// is itself a promise (per-link deliveries are strictly increasing),
-    /// a null record carries one explicitly.
-    /// Returns the number of data records drained (null promises are not
-    /// counted — a drain that only moved promises leaves no observable
-    /// trace in the termination-detection state).
-    fn drain_inbox_async(&mut self, chan: &mut [u64]) -> u64 {
+    /// Drain inbound frames into the local queue, deterministically:
+    /// arrival interleaving across senders is scheduler noise, so sort by
+    /// the virtual-time key before assigning local sequence numbers.
+    /// Records decode in place from the frame buffers (which return to
+    /// their senders' pools). Under async sync `chan` holds the per-peer
+    /// channel clocks, which every record advances — a data record's
+    /// delivery time is itself a promise (per-link deliveries are strictly
+    /// increasing), a null record carries one explicitly; epoch sync
+    /// (`None`) never ships nulls. Returns the number of data records
+    /// drained (null promises are not counted — a drain that only moved
+    /// promises leaves no observable trace in the termination-detection
+    /// state).
+    fn drain_inbox(&mut self, mut chan: Option<&mut [u64]>) -> u64 {
         let mut batch = std::mem::take(&mut self.drain_scratch);
         let mut records = 0u64;
         self.endpoint.drain_frames_with_nulls(
@@ -1040,20 +1021,22 @@ impl SyncEngine {
                 records += 1;
             },
             &mut |src, promise| {
-                let c = &mut chan[src as usize];
+                let c = &mut chan.as_deref_mut().expect("null record under epoch sync")[src as usize];
                 *c = (*c).max(promise);
             },
         );
-        if !batch.is_empty() {
-            for &(deliver, _, src, _, _) in batch.iter() {
-                let c = &mut chan[src as usize];
-                *c = (*c).max(deliver);
+        let coverage = self.asy.is_some();
+        for &(deliver, _, src, _, _) in batch.iter() {
+            if let Some(chan) = chan.as_deref_mut() {
+                chan[src as usize] = chan[src as usize].max(deliver);
+            }
+            if coverage {
                 self.ack_scratch[src as usize] += 1;
             }
-            batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
-            for (deliver, step, src, _, msg) in batch.drain(..) {
-                self.push(deliver, step, src, NodeEv::Deliver { src, msg });
-            }
+        }
+        batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
+        for (deliver, step, src, _, msg) in batch.drain(..) {
+            self.push(deliver, step, src, NodeEv::Deliver { src, msg });
         }
         self.drain_scratch = batch;
         if records > 0 {
@@ -1062,9 +1045,9 @@ impl SyncEngine {
                 // `next` (now covering the drained events) *before*
                 // crediting the per-pair ack cells — a sender that prunes
                 // its coverage floor must already see the handoff in our
-                // published slot. (Wire mode has no shared slots: there the
-                // per-channel promise discipline alone carries coverage,
-                // DESIGN.md §16.3.)
+                // published slot. (Without shared slots — the sockets
+                // backend — the per-channel promise discipline alone
+                // carries coverage, DESIGN.md §16.3.)
                 let me = self.endpoint.id as usize;
                 let n = self.n_nodes;
                 let next = self.async_next();
@@ -1086,79 +1069,31 @@ impl SyncEngine {
                         self.endpoint.push_null(src as NodeId, 0);
                     }
                 }
-            } else {
-                for k in self.ack_scratch.iter_mut() {
-                    *k = 0;
-                }
             }
         }
         records
     }
 
-    /// Ring peers whose horizon may hang on this node's progress (async
-    /// sync). The promise is `min(pending-aware next, input horizon) +
-    /// lookahead`: a bound on the delivery time of anything we may still
-    /// send — future sends are triggered either by a queued event
-    /// (≥ `next`), by an in-flight record of ours (≥ its send time, the
-    /// `async_next` floor), or by a future arrival (≥ the input horizon),
-    /// and cost at least the lookahead in flight.
-    ///
-    /// Since every peer can compute the full snapshot horizon itself from
-    /// the published slots ([`SyncEngine::snapshot_horizon`]), nulls carry
-    /// no information an awake peer needs — they are *doorbells*. A
-    /// standalone null therefore ships only to a peer that is parked on a
-    /// runnable event (`qnext < ∞`; an awake peer recomputes from the
-    /// slots by itself), and only at the *crossing*: the first promise
-    /// that lifts our delivery bound past the peer's executable head.
-    /// Below the head our term cannot be what unblocks it; above the head
-    /// it already is not what blocks it — either way a frame is a wasted
-    /// wakeup. The peer whose term is the last to cross is by definition
-    /// the blocker, and its crossing frame is the wakeup that matters; a
-    /// crossing that happens while the peer is awake (ring skipped) is
-    /// covered by the peer's own pre-park snapshot peek, and any residual
-    /// race by its park timeout. Only strict increases ship: a promise
-    /// never retracts, and each frame both wakes the peer and advances
-    /// its channel clock.
-    fn refresh_promises(&mut self, asy: &AsyncShared, promised: &mut [u64], horizon: u64, my_base: u64) {
-        let promise = self.async_next().min(horizon).saturating_add(my_base);
+    /// Ship a null promise to every peer the [`AsyncPeers::wants_null`]
+    /// policy asks for. The promise is `min(pending-aware next, input
+    /// horizon) + lookahead`: a bound on the delivery time of anything we
+    /// may still send — future sends are triggered either by a queued
+    /// event (≥ `next`), by an in-flight record of ours (≥ its send time,
+    /// the `async_next` floor), or by a future arrival (≥ the input
+    /// horizon), and cost at least our base latency in flight. Only strict
+    /// increases ship: a promise never retracts, and per-pair FIFO keeps it
+    /// sound with records in flight (a promise written after a data record
+    /// can only be read after it).
+    fn refresh_promises(&mut self, peers: &dyn AsyncPeers, horizon: u64) {
         let me = self.endpoint.id as usize;
-        for (dst, sent) in promised.iter_mut().enumerate() {
-            if dst == me || promise <= *sent {
-                continue;
-            }
-            let slot = &asy.slots[dst];
-            let qn = slot.qnext.load(Ordering::SeqCst);
-            // Crossing rule: `*sent ≤ qn < promise`, i.e. this frame is
-            // the one that first clears the peer's head.
-            if qn == u64::MAX || *sent > qn || promise <= qn {
-                continue;
-            }
-            if !slot.parked.load(Ordering::SeqCst) {
+        let promise = self.async_next().min(horizon).saturating_add(self.hz.base_ps[me]);
+        for dst in 0..self.n_nodes {
+            let sent = self.promised[dst];
+            if dst == me || promise <= sent || !peers.wants_null(dst, sent, promise) {
                 continue;
             }
             self.endpoint.push_null(dst as NodeId, promise);
-            *sent = promise;
-        }
-    }
-
-    /// The wire variant of [`SyncEngine::refresh_promises`]: with no shared
-    /// slots to self-serve from, promises are the *only* way a peer's
-    /// channel clock advances — so every strict increase ships to every
-    /// peer, unconditionally (classic eager Chandy–Misra–Bryant). The
-    /// promise bound is the same: anything this node may still send is
-    /// triggered by a queued event (≥ queue head) or a future arrival
-    /// (≥ the input horizon), and costs ≥ `my_base` in flight. Per-pair
-    /// FIFO keeps it sound with records in flight: a promise written after
-    /// a data record can only be read after it.
-    fn refresh_promises_wire(&mut self, promised: &mut [u64], horizon: u64, my_base: u64) {
-        let promise = self.queue_head().min(horizon).saturating_add(my_base);
-        let me = self.endpoint.id as usize;
-        for (dst, sent) in promised.iter_mut().enumerate() {
-            if dst == me || promise <= *sent {
-                continue;
-            }
-            self.endpoint.push_null(dst as NodeId, promise);
-            *sent = promise;
+            self.promised[dst] = promise;
         }
     }
 
@@ -1166,121 +1101,51 @@ impl SyncEngine {
     /// parked on the inbound channel wakes immediately — owed by the node
     /// that wins the termination race, since balanced-mode suppression
     /// means nobody else may be about to send them anything.
-    fn wake_peers(&mut self, promised: &[u64]) {
+    pub(crate) fn wake_peers(&mut self) {
         let me = self.endpoint.id as usize;
-        for (dst, &sent) in promised.iter().enumerate() {
+        for (dst, &sent) in self.promised.iter().enumerate() {
             if dst != me {
                 self.endpoint.push_null(dst as NodeId, sent);
             }
         }
     }
 
-    /// Epoch-grade horizon from the published snapshot — valid at every
-    /// instant, records in flight or not. The published `next` values are
-    /// fed to the §12.2 per-pair (or global-window) horizon rule
-    /// verbatim; our own slot contributes the live pending-aware `next`.
-    ///
-    /// Soundness rests on the send-coverage invariant (§14.4): a node's
-    /// published `next` is at all times a lower bound on (a) every event
-    /// in its queue — drains republish before acking, loopbacks land
-    /// above the section's processing point — and (b) the send time of
-    /// every record it has shipped that is still undrained (`async_next`
-    /// clamps to the `unacked` floor, and the floor only lifts after the
-    /// receiver's published `next` covers the record — the ack-after-
-    /// republish order in [`SyncEngine::drain_inbox_async`]). With every
-    /// in-flight record covered by its sender, any future send by node
-    /// `i` originates at ≥ its published `next_i`, and the §12.2
-    /// induction goes through unchanged — no quiescence, no version
-    /// stability, no counter bracketing. A straggler in a busy cluster
-    /// advances its horizon with `n` atomic loads per burst, waking
-    /// nobody.
-    fn snapshot_horizon(&self, asy: &AsyncShared, next_me: u64, next_buf: &mut Vec<u64>) -> u64 {
+    /// The barrier-free body under `--sync async` (DESIGN.md §14, §16.3):
+    /// no barrier, no rounds. Each iteration drains whatever has arrived,
+    /// advances the safe horizon, executes the burst of events strictly
+    /// below it, publishes, ships pending frames plus null promises, and
+    /// parks on the inbound channel only when it has nothing left to do.
+    /// Everything that depends on whether peers share memory goes through
+    /// `peers`.
+    pub fn run_async(mut self, peers: &mut dyn AsyncPeers) -> NodeOutcome {
         let me = self.endpoint.id as usize;
-        next_buf.clear();
-        for (i, s) in asy.slots.iter().enumerate() {
-            if i == me {
-                next_buf.push(next_me);
-            } else {
-                next_buf.push(s.next.load(Ordering::SeqCst));
-            }
-        }
-        match self.hz.lookahead {
-            Lookahead::Global => {
-                let min_next = next_buf.iter().copied().min().unwrap_or(u64::MAX);
-                min_next.saturating_add(self.hz.window_ps)
-            }
-            Lookahead::PerPair => {
-                let mut h = next_me.saturating_add(self.hz.base_ps[me]).saturating_add(self.hz.min_peer_base[me]);
-                for (i, nx) in next_buf.iter().enumerate() {
-                    if i != me {
-                        h = h.min(nx.saturating_add(self.hz.base_ps[i]));
-                    }
-                }
-                h
-            }
-        }
-    }
-
-    /// The in-process body under `--sync async` (DESIGN.md §14): no
-    /// barrier, no rounds. Each iteration drains whatever has arrived,
-    /// advances the safe horizon from the per-peer channel clocks,
-    /// executes the burst of events strictly below it, publishes
-    /// termination-detection state, ships pending frames plus null
-    /// promises, and parks on the inbound channel only when it has nothing
-    /// left to do. Requires [`SyncEngine::asy`].
-    pub fn run_async(mut self) -> NodeOutcome {
-        let me = self.endpoint.id as usize;
-        let asy = self.asy.clone().expect("async shared state");
         let n = self.n_nodes;
-        // The lookahead this node's promises extend by: its own base link
-        // latency per-pair, the cluster-cheapest base under global mode
-        // (same conservatism as the epoch global window).
-        let my_base = match self.hz.lookahead {
-            Lookahead::PerPair => self.hz.base_ps[me],
-            Lookahead::Global => self.hz.window_ps,
-        };
         // chan[p] = channel clock for peer p: no future record from p can
-        // deliver below it. Own entry pinned at ∞ so `min` skips it.
+        // deliver below it. Own entry pinned at ∞ so `min` skips it (and a
+        // single node runs one unbounded window).
         let mut chan = vec![0u64; n];
         chan[me] = u64::MAX;
-        let mut promised = vec![0u64; n];
-        let mut vbuf: Vec<u64> = Vec::with_capacity(n);
-        let mut next_buf: Vec<u64> = Vec::with_capacity(n);
-        // The main thread is prepaid in `AsyncShared::live`; baseline the
-        // console node at 1 so its bootstrap burst publishes a zero delta.
-        let mut last_live: u64 = if me == CONSOLE_NODE as usize { 1 } else { 0 };
-        let mut last_spawns_recv = 0u64;
-        let mut last_ops = 0u64;
         let mut horizon = 0u64;
-        let mut version = 0u64;
         let outcome;
-        // Watchdog fault injection: sleep with our initial slot (next = 0)
+        // Watchdog fault injection: sleep with our initial state (next = 0)
         // still published — every peer's horizon pins on our promise until
         // we wake. Wall-clock only; virtual-time results are unchanged.
         if let Some(ms) = self.stall_inject_ms.take() {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         loop {
-            // --- Odd section: drain, execute, publish. Checkers treat the
-            // whole burst as one atomic step.
-            asy.slots[me].version.store(version + 1, Ordering::SeqCst);
-            let drained = self.drain_inbox_async(&mut chan);
-            self.prune_acked(&asy);
+            peers.open_burst(me);
+            let drained = self.drain_inbox(Some(&mut chan));
+            self.prune_acked();
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::InboxDrain);
             }
-            let mut h = if n == 1 { u64::MAX } else { chan.iter().copied().min().unwrap_or(u64::MAX) };
-            if n > 1 {
-                // The snapshot horizon is valid at every instant (§14.4
-                // send coverage) — the self-serve path that lets a
-                // straggler climb through its own windows without a null
-                // round-trip or a peer wakeup. Channel clocks can still
-                // exceed it briefly (a data delivery outruns its sender's
-                // republished `next`), so take the max of both.
-                let next_me = self.async_next();
-                let h2 = self.snapshot_horizon(&asy, next_me, &mut next_buf);
-                h = h.max(h2);
-            }
+            // Channel clocks are safe on their own (data deliveries and
+            // promises); a published snapshot lets a straggler climb
+            // through its own windows without a null round-trip. Either
+            // can briefly exceed the other (a data delivery outruns its
+            // sender's republished `next`), so take the max of both.
+            let h = chan.iter().copied().min().unwrap_or(u64::MAX).max(peers.snapshot_horizon(&self));
             if h > horizon {
                 self.horizon_advances += 1;
                 if let Some(p) = &mut self.profiler {
@@ -1306,7 +1171,7 @@ impl SyncEngine {
                 // on our promise (the skew scenario): refresh periodically
                 // as `next` climbs, not just at burst end.
                 if burst.is_multiple_of(256) {
-                    self.refresh_promises(&asy, &mut promised, horizon, my_base);
+                    self.refresh_promises(peers, horizon);
                 }
             }
             if burst > 0 {
@@ -1315,87 +1180,24 @@ impl SyncEngine {
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::Execute);
             }
-            let next = self.async_next();
-            if drained == 0 && burst == 0 && asy.slots[me].next.load(Ordering::SeqCst) == next {
-                // Quiet iteration: only null promises moved, nothing the
-                // termination checkers observe changed. (A differing
-                // published `next` disqualifies: an idle node's very first
-                // iteration must promote the slot's initial 0 to ∞, or its
-                // unpublished state drags every peer's fast-path horizon
-                // down to one link latency for the whole run.) Revert the
-                // version to the previous even value instead of closing a
-                // new section — otherwise an idle cluster creeping its
-                // horizons through a null cascade would bump versions
-                // forever and starve the deadlock detector's stability
-                // re-scan.
-                asy.slots[me].version.store(version, Ordering::SeqCst);
-            } else {
-                // Publish counter deltas: live strictly before spawns_recv
-                // (§14.3 install rule); deltas wrap mod 2⁶⁴ so the global
-                // sums stay exact through decrements.
-                let live_now = self.node.live() as u64;
-                if live_now != last_live {
-                    asy.live.fetch_add(live_now.wrapping_sub(last_live), Ordering::SeqCst);
-                    last_live = live_now;
-                }
-                if self.spawns_recv != last_spawns_recv {
-                    asy.spawns_recv.fetch_add(self.spawns_recv - last_spawns_recv, Ordering::SeqCst);
-                    last_spawns_recv = self.spawns_recv;
-                }
-                if self.node.ops != last_ops {
-                    asy.ops.fetch_add(self.node.ops - last_ops, Ordering::SeqCst);
-                    last_ops = self.node.ops;
-                }
-                let qhead = self.queue_head();
-                asy.slots[me].next.store(next, Ordering::SeqCst);
-                asy.slots[me].qnext.store(qhead, Ordering::SeqCst);
-                // --- Close the odd section; from here the published
-                // snapshot is consistent and we only move frames and
-                // promises.
-                version += 2;
-                asy.slots[me].version.store(version, Ordering::SeqCst);
-                self.fly(FlightTag::BurstPublish, version, next);
-                self.publish_metrics(horizon, next, qhead);
-            }
-            self.refresh_promises(&asy, &mut promised, horizon, my_base);
+            peers.publish_burst(&mut self, drained, burst, horizon);
+            // The pump rate-limits itself, so calling it on quiet
+            // iterations too keeps samples flowing while we idle-park.
+            self.pump_metrics(false);
+            self.refresh_promises(peers, horizon);
+            // Flush *before* polling termination: a progress report must
+            // ride the stream behind every record it accounts for.
             self.endpoint.flush();
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::FrameFlush);
             }
-            let done = asy.done.load(Ordering::SeqCst);
-            if done != async_done::RUNNING {
-                outcome = done;
-                break;
-            }
-            if asy.ops.load(Ordering::SeqCst) > self.hz.max_ops {
-                if asy.decide(async_done::ABORT) {
-                    self.wake_peers(&promised);
+            match peers.poll(&mut self, horizon) {
+                AsyncPoll::Done(o) => {
+                    outcome = o;
+                    break;
                 }
-                continue;
-            }
-            // Executable-work check on the bare queue head: the published
-            // `next` may sit below it (pinned by the in-flight floor), and
-            // spinning on that would busy-wait for an ack instead of
-            // parking for it.
-            if self.queue_head() < horizon {
-                // More work is already executable (the burst refreshed our
-                // own view mid-flight): loop straight around.
-                continue;
-            }
-            // Idle: we ran out of horizon. Try to detect termination, then
-            // park on the inbound channel until a peer's data or promise
-            // (or the done flag, within the timeout) moves us.
-            if asy.finished() {
-                if asy.decide(async_done::FINISH) {
-                    self.wake_peers(&promised);
-                }
-                continue;
-            }
-            if asy.deadlocked(&mut vbuf) {
-                if asy.decide(async_done::DEADLOCK) {
-                    self.wake_peers(&promised);
-                }
-                continue;
+                AsyncPoll::Again => continue,
+                AsyncPoll::Idle => {}
             }
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::Decide);
@@ -1403,157 +1205,95 @@ impl SyncEngine {
             // A burst that raised our published `next` usually raises the
             // snapshot horizon with it (the self-echo term): peek before
             // parking and spin straight into the next window if it moved —
-            // this is the self-serve climb that replaces a null round-trip
-            // per window with a handful of atomic loads.
-            if n > 1 && self.snapshot_horizon(&asy, self.async_next(), &mut next_buf) > horizon {
+            // the self-serve climb that replaces a null round-trip per
+            // window with a handful of atomic loads.
+            if peers.snapshot_horizon(&self) > horizon {
                 continue;
             }
-            // The parked bit is the demand signal `refresh_promises` gates
-            // standalone nulls on; raise it only for the wait itself. The
+            // Idle: park on the inbound channel until a peer's data or
+            // promise (or the outcome, within the timeout) moves us. The
             // registry's gauges refresh right before parking so the
             // watchdog judges the park against current values (quiet
             // iterations skip the burst publish but may have climbed the
             // horizon through nulls).
             let qhead = self.queue_head();
             self.publish_metrics(horizon, self.async_next(), qhead);
-            if let Some(reg) = &self.metrics {
-                reg.set(me as NodeId, Metric::Parked, 1);
-            }
-            self.fly(FlightTag::Park, horizon, qhead);
-            asy.slots[me].parked.store(true, Ordering::SeqCst);
+            self.note_park(true, horizon, qhead);
+            peers.set_parked(me, true);
             self.endpoint.wait_inbound(std::time::Duration::from_millis(1));
-            asy.slots[me].parked.store(false, Ordering::SeqCst);
-            if let Some(reg) = &self.metrics {
-                reg.set(me as NodeId, Metric::Parked, 0);
-            }
-            self.fly(FlightTag::Unpark, horizon, qhead);
+            peers.set_parked(me, false);
+            self.note_park(false, horizon, qhead);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::HorizonWait);
             }
         }
-        // Two-phase shutdown: ship anything still pending, rendezvous on
-        // the flush counter, then drain leftovers so receive accounting
-        // matches the sim (which records both ends at send time). The
-        // drained events are dropped unprocessed — exactly the events the
-        // sim discards after its termination condition trips.
+        // Two-phase shutdown: ship anything still pending, rendezvous, then
+        // drain leftovers so receive accounting matches the sim (which
+        // records both ends at send time). The drained events are dropped
+        // unprocessed — exactly the events the sim discards after its
+        // termination condition trips.
         self.fly(FlightTag::Decide, outcome, 0);
         self.endpoint.flush();
-        asy.flushed.fetch_add(1, Ordering::SeqCst);
-        while asy.flushed.load(Ordering::SeqCst) < n as u64 {
-            std::thread::yield_now();
-        }
-        self.drain_inbox_async(&mut chan);
+        peers.flush_rendezvous();
+        self.drain_inbox(Some(&mut chan));
         self.fly(
             FlightTag::FlushRendezvous,
             self.endpoint.frame_stats.frames_sent,
             self.endpoint.frame_stats.msgs_framed,
         );
-        // Final publish: the sampler's closing sample sees end-of-run
-        // counters, so whole-run mean rates come out right (horizon to ∞:
-        // the run is over, nothing lags anything).
-        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
         self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
     }
+}
 
-    /// The message-passing body under `--sync async` (DESIGN.md §16.3):
-    /// pure per-channel Chandy–Misra–Bryant. The horizon is the minimum of
-    /// the per-peer channel clocks alone — no shared snapshot exists —
-    /// advanced by data deliveries and by the eagerly shipped promises of
-    /// [`SyncEngine::refresh_promises_wire`]; termination belongs to the
-    /// coordinator, which counts every record it relays and quiesces the
-    /// cluster from the workers' idle [`WirePeers::send_state`] reports.
-    pub fn run_async_wire(mut self, peers: &mut dyn WirePeers) -> NodeOutcome {
-        let me = self.endpoint.id as usize;
-        let n = self.n_nodes;
-        let my_base = match self.hz.lookahead {
-            Lookahead::PerPair => self.hz.base_ps[me],
-            Lookahead::Global => self.hz.window_ps,
-        };
-        let mut chan = vec![0u64; n];
-        chan[me] = u64::MAX;
-        let mut promised = vec![0u64; n];
-        let mut horizon = 0u64;
-        /// Retired-op quantum between busy-path state reports: the only
-        /// thing they feed is the coordinator's `max_ops` abort scan, so
-        /// window granularity is enough (the threads backend is no finer).
-        const OPS_QUANTUM: u64 = 1 << 20;
-        let mut drained_total = 0u64;
-        let mut last_state: Option<(u64, u64, u64, u64)> = None;
-        let mut ops_at_state = 0u64;
-        let outcome;
-        loop {
-            drained_total += self.drain_inbox_async(&mut chan);
-            let h = if n == 1 { u64::MAX } else { chan.iter().copied().min().unwrap_or(u64::MAX) };
-            if h > horizon {
-                self.horizon_advances += 1;
-                horizon = h;
-            }
-            let mut burst = 0u64;
-            while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
-                if time >= horizon {
-                    break;
-                }
-                self.events.pop();
-                self.process_one(time, idx);
-                burst += 1;
-                // Long bursts must not starve peers hanging on our promise.
-                if burst.is_multiple_of(256) {
-                    self.refresh_promises_wire(&mut promised, horizon, my_base);
-                }
-            }
-            if burst > 0 {
-                self.windows += 1;
-                self.publish_metrics(horizon, self.async_next(), self.queue_head());
-            }
-            // The pump rate-limits itself, so calling it on quiet
-            // iterations too keeps samples flowing while we idle-park.
-            self.pump_metrics(false);
-            self.refresh_promises_wire(&mut promised, horizon, my_base);
-            // Flush *before* any state report: the report must ride the
-            // stream behind every record it accounts for, or the
-            // coordinator could observe "all drained" with our records
-            // still in the pending buffers (a false quiescence).
-            self.endpoint.flush();
-            if let Some(o) = peers.poll_done() {
-                outcome = o;
-                break;
-            }
-            if self.queue_head() < horizon {
-                // Still busy. Feed the coordinator's abort scan on a coarse
-                // quantum so a runaway burst sequence is still caught.
-                if self.node.ops - ops_at_state >= OPS_QUANTUM {
-                    let st = (self.queue_head(), drained_total, self.node.live() as u64, self.node.ops);
-                    peers.send_state(st.0, st.1, st.2, st.3);
-                    last_state = Some(st);
-                    ops_at_state = self.node.ops;
-                }
-                continue;
-            }
-            // Idle: report (on change) and park. The coordinator decides
-            // termination; its Done doorbell lands in our inbound channel
-            // via the ingress pump, so the park always wakes for it.
-            let st = (self.queue_head(), drained_total, self.node.live() as u64, self.node.ops);
-            if last_state != Some(st) {
-                peers.send_state(st.0, st.1, st.2, st.3);
-                last_state = Some(st);
-                ops_at_state = self.node.ops;
-            }
-            // Refresh gauges right before parking so the coordinator's
-            // watchdog judges the park against current values.
-            self.publish_metrics(horizon, self.async_next(), st.0);
-            self.endpoint.wait_inbound(std::time::Duration::from_millis(1));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const IDLE: u64 = u64::MAX;
+
+    #[test]
+    fn idle_peers_never_bind() {
+        let hz = Horizons { base_ps: vec![10, 20, 30], max_ops: u64::MAX };
+        // Peer 2 binds through its direct term (50 + 30); idle peer 1's
+        // `∞ + 20` saturates and drops out of the minimum.
+        assert_eq!(hz.horizon(0, &[100, IDLE, 50]), 80);
+        assert_eq!(hz.horizon(0, &[100, IDLE, 50]), hz.horizon(0, &[100, 1_000_000, 50]));
+    }
+
+    #[test]
+    fn self_echo_binds_when_every_peer_is_idle() {
+        let hz = Horizons { base_ps: vec![10, 20, 30], max_ops: u64::MAX };
+        // Our own send (≥ 100) reaches a peer after 10 and returns after
+        // at least the cheapest peer base, 20.
+        assert_eq!(hz.horizon(0, &[100, IDLE, IDLE]), 130);
+        assert_eq!(hz.horizon(2, &[IDLE, IDLE, 100]), 140);
+        assert_eq!(hz.horizon(0, &[IDLE, IDLE, IDLE]), IDLE);
+    }
+
+    #[test]
+    fn single_node_window_is_unbounded() {
+        let hz = Horizons { base_ps: vec![10], max_ops: u64::MAX };
+        assert_eq!(hz.horizon(0, &[0]), IDLE);
+        assert_eq!(hz.horizon(0, &[12_345]), IDLE);
+    }
+
+    proptest! {
+        /// The dominance argument: every term adds some `base_i ≥
+        /// min(base)` to some `next_i ≥ min(next)`, so no node's horizon
+        /// falls below the single cluster-wide window `min(next) +
+        /// min(base)`.
+        #[test]
+        fn horizon_dominates_the_global_window(
+            nodes in proptest::collection::vec((1u64..1_000_000, any::<bool>(), 0u64..1_000_000_000), 1..10),
+            pick in any::<u16>(),
+        ) {
+            let base: Vec<u64> = nodes.iter().map(|&(b, _, _)| b).collect();
+            let nexts: Vec<u64> = nodes.iter().map(|&(_, idle, t)| if idle { IDLE } else { t }).collect();
+            let me = pick as usize % nodes.len();
+            let global = nexts.iter().min().unwrap().saturating_add(*base.iter().min().unwrap());
+            let hz = Horizons { base_ps: base, max_ops: u64::MAX };
+            prop_assert!(hz.horizon(me, &nexts) >= global);
         }
-        // Shutdown mirrors the in-process mode's two phases, with the
-        // coordinator as the rendezvous: flush leftovers, announce, wait
-        // for every peer's leftovers to be relayed to us, drain them so
-        // receive accounting matches the sim, then report.
-        self.endpoint.flush();
-        peers.flush_rendezvous();
-        self.drain_inbox_async(&mut chan);
-        // Closing sample with end-of-run counters (horizon → ∞: the run is
-        // over, nothing lags anything). Forced past the pump's rate limit.
-        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
-        self.pump_metrics(true);
-        self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
     }
 }

@@ -22,11 +22,12 @@
 //!   its `BarrierAck`. A worker that returns from the barrier therefore
 //!   holds everything its peers sent in the window, exactly the guarantee
 //!   the shared-memory barrier gave (DESIGN.md §16.2).
-//! * the async mode runs pure per-channel Chandy–Misra–Bryant promises
-//!   ([`SyncEngine::run_async_wire`]); the in-process mode's shared
-//!   send-coverage counters have no wire analogue, so *the coordinator*
-//!   owns termination: it counts the non-null records it relays toward
-//!   each worker ([`jsplit_net::transport::frame_data_records`]) and
+//! * the async mode runs the engine's one async loop
+//!   ([`SyncEngine::run_async`]) over pure per-channel Chandy–Misra–Bryant
+//!   promises ([`AsyncPeers`] on the coordinator link); the in-process
+//!   mode's shared send-coverage counters have no wire analogue, so
+//!   *the coordinator* owns termination: it counts the non-null records it
+//!   relays toward each worker ([`jsplit_net::transport::frame_data_records`]) and
 //!   declares the run over when every worker is idle (`qhead == MAX`) and
 //!   has drained exactly what was relayed to it — a report rides each
 //!   worker's stream *behind* every record it accounts for, so the count
@@ -60,9 +61,9 @@
 //! `tests/sockets.rs`).
 
 use crate::balance::{Balancer, BalancerState};
-use crate::config::{Backend, ClusterConfig, Lookahead, Mode, NodeSpec, SocketsConfig, SyncMode};
+use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SocketsConfig, SyncMode};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{async_done, EpochPeers, EpochSlot, Horizons, SyncEngine, WirePeers};
+use crate::engine::{async_done, AsyncPeers, AsyncPoll, EpochPeers, EpochSlot, Horizons, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::{RunReport, SyncStats};
@@ -136,15 +137,10 @@ fn encode_wire_config(cfg: &ClusterConfig) -> Vec<u8> {
             w.u8(1).u32(c);
         }
     }
-    w.u8(match cfg.lookahead {
-        Lookahead::Global => 0,
-        Lookahead::PerPair => 1,
-    });
     w.u8(match cfg.sync {
         SyncMode::Epoch => 0,
         SyncMode::Async => 1,
     });
-    w.u8(cfg.wire_batch as u8);
     w.u8(cfg.classic_interp as u8);
     w.into_inner()
 }
@@ -156,8 +152,13 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         1 => Mode::JavaSplit,
         _ => return Err(CodecError("bad mode byte")),
     };
-    let n = r.varu()? as usize;
-    let mut nodes = Vec::with_capacity(n);
+    // The blob arrives over TCP: bound the count by the bytes left (one
+    // profile byte per node) before allocating for it.
+    let n = r.varu()?;
+    if n > r.remaining() as u64 {
+        return Err(CodecError("node count exceeds config blob"));
+    }
+    let mut nodes = Vec::with_capacity(n as usize);
     for _ in 0..n {
         nodes.push(NodeSpec {
             profile: match r.u8()? {
@@ -186,18 +187,15 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         0 => None,
         _ => Some(r.u32()?),
     };
-    let lookahead = match r.u8()? {
-        0 => Lookahead::Global,
-        1 => Lookahead::PerPair,
-        _ => return Err(CodecError("bad lookahead byte")),
-    };
     let sync = match r.u8()? {
         0 => SyncMode::Epoch,
         1 => SyncMode::Async,
         _ => return Err(CodecError("bad sync byte")),
     };
-    let wire_batch = r.u8()? != 0;
     let classic_interp = r.u8()? != 0;
+    if r.remaining() != 0 {
+        return Err(CodecError("trailing bytes after config"));
+    }
     Ok(ClusterConfig {
         mode,
         nodes,
@@ -212,9 +210,7 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         trace: None,
         profile: false,
         backend: Backend::Sockets,
-        lookahead,
         sync,
-        wire_batch,
         metrics: None,
         sockets: SocketsConfig::default(),
         classic_interp,
@@ -501,7 +497,7 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
 /// go out directly; the ingress pump routes inbound `Data` into the
 /// endpoint's frame channel and everything else into `ctrl`). Implements
 /// both engine seams — [`EpochPeers`] as envelope round-trips, and
-/// [`WirePeers`] for the coordinator-terminated async mode. Connection
+/// [`AsyncPeers`] for the coordinator-terminated async mode. Connection
 /// loss panics, matching [`TcpFrameLink`]: a worker without its
 /// coordinator has no recovery path, and the process exit *is* the error
 /// signal the coordinator acts on.
@@ -514,6 +510,12 @@ struct WirePeerLink {
     round: u64,
     /// Peer slots from the last `Slots` broadcast, held for `read`.
     slots: Vec<SlotWire>,
+    /// Async mode: data records drained so far, and the last `State`
+    /// report `(qhead, drained, live, ops)` with the op count it went out
+    /// at.
+    drained: u64,
+    last_state: Option<(u64, u64, u64, u64)>,
+    ops_at_state: u64,
 }
 
 impl WirePeerLink {
@@ -528,6 +530,16 @@ impl WirePeerLink {
             Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
             Err(_) => panic!("worker {}: ingress pump exited", self.me),
         }
+    }
+
+    /// Progress report for the coordinator's termination scan. Sent only
+    /// after the flush that precedes it, so it rides the stream *behind*
+    /// every record it accounts for.
+    fn send_state(&mut self, st: (u64, u64, u64, u64)) {
+        let (qhead, drained, live, ops) = st;
+        self.send(&Envelope::State { qhead, drained, live, ops });
+        self.last_state = Some(st);
+        self.ops_at_state = ops;
     }
 }
 
@@ -585,19 +597,56 @@ impl EpochPeers for WirePeerLink {
     }
 }
 
-impl WirePeers for WirePeerLink {
-    fn poll_done(&mut self) -> Option<u64> {
-        match self.ctrl.try_recv() {
-            Ok(Ok(Envelope::Done { outcome })) => Some(outcome as u64),
-            Ok(Ok(other)) => panic!("worker {}: unexpected {other:?} before Done", self.me),
-            Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => panic!("worker {}: ingress pump exited", self.me),
+impl AsyncPeers for WirePeerLink {
+    /// No shared snapshot exists: the per-channel clocks alone carry the
+    /// horizon.
+    fn snapshot_horizon(&mut self, _eng: &SyncEngine) -> u64 {
+        0
+    }
+
+    /// With no snapshot to self-serve from, promises are the *only* way a
+    /// peer's channel clock advances — so every strict increase ships to
+    /// every peer, unconditionally (classic eager Chandy–Misra–Bryant).
+    fn wants_null(&self, _dst: usize, _sent: u64, _promise: u64) -> bool {
+        true
+    }
+
+    fn publish_burst(&mut self, eng: &mut SyncEngine, drained: u64, burst: u64, horizon: u64) {
+        self.drained += drained;
+        if burst > 0 {
+            eng.publish_metrics(horizon, eng.async_next(), eng.queue_head());
         }
     }
 
-    fn send_state(&mut self, qhead: u64, drained: u64, live: u64, ops: u64) {
-        self.send(&Envelope::State { qhead, drained, live, ops });
+    /// The coordinator decides termination from the workers' `State`
+    /// reports; its `Done` doorbell lands in our inbound channel via the
+    /// ingress pump, so a parked engine always wakes for it.
+    fn poll(&mut self, eng: &mut SyncEngine, horizon: u64) -> AsyncPoll {
+        match self.ctrl.try_recv() {
+            Ok(Ok(Envelope::Done { outcome })) => return AsyncPoll::Done(outcome as u64),
+            Ok(Ok(other)) => panic!("worker {}: unexpected {other:?} before Done", self.me),
+            Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
+            Err(TryRecvError::Empty) => {}
+            Err(TryRecvError::Disconnected) => panic!("worker {}: ingress pump exited", self.me),
+        }
+        /// Retired-op quantum between busy-path state reports: the only
+        /// thing they feed is the coordinator's `max_ops` abort scan, so
+        /// window granularity is enough (the threads backend is no finer).
+        const OPS_QUANTUM: u64 = 1 << 20;
+        let st = (eng.queue_head(), self.drained, eng.node.live() as u64, eng.node.ops);
+        if st.0 < horizon {
+            // Still busy. Feed the abort scan on a coarse quantum so a
+            // runaway burst sequence is still caught.
+            if st.3 - self.ops_at_state >= OPS_QUANTUM {
+                self.send_state(st);
+            }
+            return AsyncPoll::Again;
+        }
+        // Idle: report on change, then park.
+        if self.last_state != Some(st) {
+            self.send_state(st);
+        }
+        AsyncPoll::Idle
     }
 
     fn flush_rendezvous(&mut self) {
@@ -810,7 +859,7 @@ fn run_worker_body(
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<io::Result<Envelope>>();
     let wire = Box::new(TcpFrameLink::new(stream.try_clone().map_err(sock_err)?, pool_tx));
     let mut endpoint =
-        ChannelEndpoint::single(me, n, links[me as usize], wire, frame_rx, pool_rx, config.wire_batch);
+        ChannelEndpoint::single(me, n, links[me as usize], wire, frame_rx, pool_rx, true);
     let mut pump_stream = stream.try_clone().map_err(sock_err)?;
     thread::spawn(move || loop {
         match tcp::read_envelope(&mut pump_stream) {
@@ -864,7 +913,7 @@ fn run_worker_body(
     }
 
     let base_ps: Vec<u64> = links.iter().map(|l| l.base_ps()).collect();
-    let hz = Horizons::new(base_ps, config.lookahead, config.max_ops);
+    let hz = Horizons { base_ps, max_ops: config.max_ops };
     let main_method = prepared.image.main_method;
     let main_locals = prepared.image.method(main_method).max_locals;
     let mut eng = SyncEngine::new(
@@ -907,10 +956,13 @@ fn run_worker_body(
         me,
         round: 0,
         slots: vec![[0; 5]; n],
+        drained: 0,
+        last_state: None,
+        ops_at_state: 0,
     };
     let mut outcome = match config.sync {
         SyncMode::Epoch => eng.run_epoch(&mut link),
-        SyncMode::Async => eng.run_async_wire(&mut link),
+        SyncMode::Async => eng.run_async(&mut link),
     };
 
     let console = if me == CONSOLE_NODE { outcome.node.take_console() } else { Vec::new() };
@@ -1455,10 +1507,9 @@ mod tests {
         cfg.max_ops = 9_999;
         cfg.disable_local_locks = true;
         cfg.array_chunk = Some(64);
-        cfg.lookahead = Lookahead::Global;
         cfg.sync = SyncMode::Async;
-        cfg.wire_batch = false;
-        let got = decode_wire_config(&encode_wire_config(&cfg)).unwrap();
+        let blob = encode_wire_config(&cfg);
+        let got = decode_wire_config(&blob).unwrap();
         assert_eq!(got.mode, cfg.mode);
         assert_eq!(got.nodes, cfg.nodes);
         assert_eq!(got.cpus_per_node, cfg.cpus_per_node);
@@ -1468,13 +1519,27 @@ mod tests {
         assert_eq!(got.max_ops, cfg.max_ops);
         assert_eq!(got.disable_local_locks, cfg.disable_local_locks);
         assert_eq!(got.array_chunk, cfg.array_chunk);
-        assert_eq!(got.lookahead, cfg.lookahead);
         assert_eq!(got.sync, cfg.sync);
-        assert_eq!(got.wire_batch, cfg.wire_batch);
         assert_eq!(got.backend, Backend::Sockets);
         assert!(got.trace.is_none() && !got.profile && got.metrics.is_none());
         // Deployment-side observers stay out of the hashed wire config.
         assert!(!got.objprof);
+
+        // The blob arrives over TCP: malformed input must come back as an
+        // error, never a panic or an allocation sized by the sender.
+        let mut bad: Vec<(String, Vec<u8>)> =
+            (0..blob.len()).map(|k| (format!("truncated to {k} bytes"), blob[..k].to_vec())).collect();
+        for count in [u64::MAX, 1 << 40, blob.len() as u64] {
+            let mut w = Writer::new();
+            w.u8(1).varu(count).u8(0);
+            bad.push((format!("node count {count}"), w.into_inner()));
+        }
+        let mut trailing = blob.clone();
+        trailing.push(0xff);
+        bad.push(("trailing garbage".into(), trailing));
+        for (what, bytes) in &bad {
+            assert!(decode_wire_config(bytes).is_err(), "{what}: decoded instead of Err");
+        }
     }
 
     #[test]
