@@ -9,16 +9,13 @@
 //! Sections: `table1`, `table2`, `table3`, `table4`, `ablation`, `mixed`
 //! (the §6 heterogeneous-cluster and mid-run-join demonstrations), `all`.
 //!
-//! `repro perf [--smoke] [--backend sim|threads|sockets]
-//! [--sync epoch|async|both]`
-//! is separate from `all`: it measures *host* wall-clock and ops/sec
+//! `repro perf [--smoke] [--backend sim|threads|sockets]` is separate
+//! from `all`: it measures *host* wall-clock and ops/sec
 //! (nondeterministic) and writes `BENCH_PERF.json` at the repo root — or,
 //! with `--backend threads` (one OS thread per node) or `--backend
 //! sockets` (one OS *process* per node over localhost TCP),
 //! real-parallel-execution numbers with per-app 8-vs-1-node speedups and
-//! synchronization counters to `BENCH_LIVE.json`. Live runs default to
-//! `--sync both`: one row set per sync protocol, so the barrier-epoch and
-//! async-promise drivers are always measured side by side.
+//! synchronization counters to `BENCH_LIVE.json`.
 //!
 //! `repro trace <app> [--smoke]` runs one app (tsp/series/raytracer) with
 //! full tracing, writes `TRACE_<app>.json` (Chrome trace-event format) at
@@ -37,7 +34,7 @@
 use jsplit_bench::{ablation, heat, measure, perf, table1, table2, table3, table4, tracecmd};
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, NodeSpec, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, NodeSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -73,28 +70,10 @@ fn main() {
                 }
             },
         };
-        // Sync protocol only exists on the threads backend; there the
-        // default is measuring both, so BENCH_LIVE.json always carries the
-        // epoch-vs-async comparison.
-        let syncs: Vec<SyncMode> = match args.iter().position(|a| a == "--sync") {
-            None => match backend {
-                Backend::Sim => vec![SyncMode::Epoch],
-                Backend::Threads | Backend::Sockets => vec![SyncMode::Epoch, SyncMode::Async],
-            },
-            Some(i) => match args.get(i + 1).map(String::as_str) {
-                Some("epoch") => vec![SyncMode::Epoch],
-                Some("async") => vec![SyncMode::Async],
-                Some("both") => vec![SyncMode::Epoch, SyncMode::Async],
-                other => {
-                    eprintln!("repro perf: unknown --sync {other:?} (want epoch|async|both)");
-                    std::process::exit(2);
-                }
-            },
-        };
         // `--classic` pins the pre-predecode enum-decode interpreter for
         // same-host A/B throughput comparison; rows carry `"predecode"`.
         let classic = args.iter().any(|a| a == "--classic");
-        let pts = perf::run(smoke, backend, classic, &syncs);
+        let pts = perf::run(smoke, backend, classic);
         print!("{}", perf::render(&pts));
         let speedup = perf::live_speedup(&pts);
         if let Some(sp) = &speedup {

@@ -29,16 +29,12 @@ use crate::measure::{render_table, run_clean};
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::telemetry::lag_percentiles;
-use jsplit_runtime::{Backend, ClusterConfig, MetricsConfig, SyncMode, SyncStats};
+use jsplit_runtime::{Backend, ClusterConfig, MetricsConfig, SyncStats};
 use jsplit_trace::{LogHist, SpanKind, TelemetrySummary, WallProfile, ALL_SPAN_KINDS};
 
 /// One measured workload.
 pub struct PerfPoint {
     pub app: &'static str,
-    /// Synchronization protocol the threads backend ran under (epoch
-    /// barriers or asynchronous per-pair promises); `Epoch` for sim runs,
-    /// where the knob has no effect.
-    pub sync_mode: SyncMode,
     /// Whether the run used the predecoded direct-threaded executor (the
     /// default since the decode-once interpreter landed; `false` would mean
     /// the classic enum-decode path, kept for A/B measurement).
@@ -114,16 +110,9 @@ pub fn workloads(smoke: bool) -> Vec<(&'static str, Program)> {
 }
 
 /// Run all workloads on the fixed cluster configuration with the given
-/// execution backend, once per requested sync mode (the knob only matters
-/// on the threads backend; sim callers pass a single mode). Threads runs
-/// also measure each workload on a 1-node cluster for the per-app live
-/// speedup.
-pub fn run(
-    smoke: bool,
-    backend: Backend,
-    classic: bool,
-    syncs: &[SyncMode],
-) -> Vec<PerfPoint> {
+/// execution backend. Live runs also measure each workload on a 1-node
+/// cluster for the per-app live speedup.
+pub fn run(smoke: bool, backend: Backend, classic: bool) -> Vec<PerfPoint> {
     let mut out = Vec::new();
     // Both live backends (one OS thread per node / one OS process per
     // node) measure the 1-node denominator for the per-app speedup and
@@ -131,46 +120,40 @@ pub fn run(
     // metrics envelopes merged at the coordinator for sockets); only the
     // threads backend carries the in-process span profiler.
     let live = matches!(backend, Backend::Threads | Backend::Sockets);
-    for &sync_mode in syncs {
-        for (app, p) in workloads(smoke) {
-            let mut cfg = ClusterConfig::javasplit(JvmProfile::SunSim, NODES)
-                .with_backend(backend)
-                .with_sync(sync_mode)
-                .with_classic_interp(classic)
-                .with_profile(backend == Backend::Threads);
-            if live {
-                // Sample the registry but write no JSONL: the summary
-                // (peak/mean rates, lag percentiles) lands in the LIVE rows.
-                cfg = cfg.with_metrics(MetricsConfig::default());
-            }
-            let cfg_classic = cfg.classic_interp;
-            let t0 = Instant::now();
-            let mut r = run_clean(cfg, &p);
-            let wall = t0.elapsed().as_secs_f64();
-            let wall_1node_secs = live.then(|| {
-                let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 1)
-                    .with_backend(backend)
-                    .with_sync(sync_mode);
-                let t0 = Instant::now();
-                run_clean(cfg, &p);
-                t0.elapsed().as_secs_f64()
-            });
-            out.push(PerfPoint {
-                app,
-                sync_mode,
-                predecode: !cfg_classic,
-                wall_secs: wall,
-                ops: r.ops,
-                ops_per_sec: r.ops as f64 / wall.max(1e-9),
-                virtual_secs: r.exec_time_secs(),
-                msgs_sent: r.net_total().msgs_sent,
-                event_slab_high_water: r.event_slab_high_water,
-                wall_1node_secs,
-                sync: r.sync,
-                wall: r.wall.take(),
-                telemetry: r.telemetry.take(),
-            });
+    for (app, p) in workloads(smoke) {
+        let mut cfg = ClusterConfig::javasplit(JvmProfile::SunSim, NODES)
+            .with_backend(backend)
+            .with_classic_interp(classic)
+            .with_profile(backend == Backend::Threads);
+        if live {
+            // Sample the registry but write no JSONL: the summary
+            // (peak/mean rates, lag percentiles) lands in the LIVE rows.
+            cfg = cfg.with_metrics(MetricsConfig::default());
         }
+        let cfg_classic = cfg.classic_interp;
+        let t0 = Instant::now();
+        let mut r = run_clean(cfg, &p);
+        let wall = t0.elapsed().as_secs_f64();
+        let wall_1node_secs = live.then(|| {
+            let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 1).with_backend(backend);
+            let t0 = Instant::now();
+            run_clean(cfg, &p);
+            t0.elapsed().as_secs_f64()
+        });
+        out.push(PerfPoint {
+            app,
+            predecode: !cfg_classic,
+            wall_secs: wall,
+            ops: r.ops,
+            ops_per_sec: r.ops as f64 / wall.max(1e-9),
+            virtual_secs: r.exec_time_secs(),
+            msgs_sent: r.net_total().msgs_sent,
+            event_slab_high_water: r.event_slab_high_water,
+            wall_1node_secs,
+            sync: r.sync,
+            wall: r.wall.take(),
+            telemetry: r.telemetry.take(),
+        });
     }
     out
 }
@@ -189,20 +172,10 @@ impl LiveSpeedup {
 }
 
 /// Derive the headline TSP speedup from an already-measured point set.
-/// Pinned to the epoch-sync row so the number stays comparable across
-/// baselines that predate the `--sync` knob (and so the CI convoy guard
-/// has a stable denominator).
 pub fn live_speedup(pts: &[PerfPoint]) -> Option<LiveSpeedup> {
-    pts.iter().find(|p| p.app == "tsp" && p.sync_mode == SyncMode::Epoch).and_then(|p| {
+    pts.iter().find(|p| p.app == "tsp").and_then(|p| {
         p.wall_1node_secs.map(|w1| LiveSpeedup { wall_1node_secs: w1, wall_8node_secs: p.wall_secs })
     })
-}
-
-fn sync_name(sync: SyncMode) -> &'static str {
-    match sync {
-        SyncMode::Epoch => "epoch",
-        SyncMode::Async => "async",
-    }
 }
 
 pub fn render(pts: &[PerfPoint]) -> String {
@@ -211,7 +184,6 @@ pub fn render(pts: &[PerfPoint]) -> String {
         .map(|p| {
             vec![
                 p.app.to_string(),
-                sync_name(p.sync_mode).to_string(),
                 format!("{:.3}", p.wall_secs),
                 p.ops.to_string(),
                 format!("{:.2}", p.ops_per_sec / 1e6),
@@ -227,7 +199,7 @@ pub fn render(pts: &[PerfPoint]) -> String {
         .collect();
     render_table(
         &format!("Host performance — js{NODES}(sun), fixed seeds"),
-        &["app", "sync", "wall_s", "ops", "Mops/s", "virtual_s", "msgs", "slab_hw", "spdup", "windows", "batched", "top stall"],
+        &["app", "wall_s", "ops", "Mops/s", "virtual_s", "msgs", "slab_hw", "spdup", "windows", "batched", "top stall"],
         &rows,
     )
 }
@@ -269,13 +241,11 @@ pub fn to_json(
             _ => String::new(),
         };
         s.push_str(&format!(
-            "    {{\"app\": \"{}\", \"sync\": \"{}\", \"predecode\": {}, \"wall_secs\": {:.3}, \"ops\": {}, \"ops_per_sec\": {:.0}, \
+            "    {{\"app\": \"{}\", \"predecode\": {}, \"wall_secs\": {:.3}, \"ops\": {}, \"ops_per_sec\": {:.0}, \
              \"virtual_secs\": {:.6}, \"msgs_sent\": {}, \"event_slab_high_water\": {}{}, \
              \"windows\": {}, \"barrier_waits\": {}, \"frames_sent\": {}, \"msgs_framed\": {}, \
-             \"msgs_batched\": {}, \"bytes_per_frame_avg\": {:.1}, \"horizon_advances\": {}, \
-             \"nulls_sent\": {}, \"nulls_piggybacked\": {}{}{}}}{}\n",
+             \"msgs_batched\": {}, \"bytes_per_frame_avg\": {:.1}{}{}}}{}\n",
             p.app,
-            sync_name(p.sync_mode),
             p.predecode,
             p.wall_secs,
             p.ops,
@@ -290,9 +260,6 @@ pub fn to_json(
             p.sync.msgs_framed,
             p.sync.msgs_batched(),
             p.sync.bytes_per_frame_avg(),
-            p.sync.horizon_advances,
-            p.sync.nulls_sent,
-            p.sync.nulls_piggybacked,
             wall_profile_json(p.wall.as_ref()),
             telemetry_json(p.telemetry.as_ref()),
             if i + 1 < pts.len() { "," } else { "" },
@@ -389,8 +356,7 @@ mod tests {
         let pts = vec![
             PerfPoint {
                 app: "tsp",
-                sync_mode: SyncMode::Epoch,
-                predecode: true,
+                    predecode: true,
                 wall_secs: 1.5,
                 ops: 1000,
                 ops_per_sec: 666.7,
@@ -398,20 +364,12 @@ mod tests {
                 msgs_sent: 12,
                 event_slab_high_water: 9,
                 wall_1node_secs: Some(6.0),
-                sync: SyncStats {
-                    windows: 10,
-                    barrier_waits: 80,
-                    frames_sent: 4,
-                    frame_bytes: 400,
-                    msgs_framed: 14,
-                    ..SyncStats::default()
-                },
+                sync: SyncStats { windows: 10, barrier_waits: 80, frames_sent: 4, frame_bytes: 400, msgs_framed: 14 },
                 wall: None,
                 telemetry: None,
             },
             PerfPoint {
-                app: "tsp",
-                sync_mode: SyncMode::Async,
+                app: "series",
                 predecode: true,
                 wall_secs: 1.2,
                 ops: 1000,
@@ -420,16 +378,7 @@ mod tests {
                 msgs_sent: 12,
                 event_slab_high_water: 9,
                 wall_1node_secs: Some(6.0),
-                sync: SyncStats {
-                    windows: 25,
-                    barrier_waits: 0,
-                    frames_sent: 9,
-                    frame_bytes: 900,
-                    msgs_framed: 14,
-                    nulls_sent: 7,
-                    nulls_piggybacked: 2,
-                    horizon_advances: 31,
-                },
+                sync: SyncStats { windows: 25, barrier_waits: 200, frames_sent: 9, frame_bytes: 900, msgs_framed: 14 },
                 wall: None,
                 telemetry: Some({
                     let mut t = TelemetrySummary { samples: 12, peak_ops_per_sec: 2000.4, ..TelemetrySummary::default() };
@@ -438,18 +387,18 @@ mod tests {
                 }),
             },
         ];
-        // The headline speedup must come from the epoch row, not the
-        // (faster here) async row.
+        // The headline speedup comes from the tsp row.
         let sp = live_speedup(&pts).expect("tsp point carries 1-node wall");
         assert_eq!(sp.wall_8node_secs, 1.5);
         let j = to_json(&pts, true, Backend::Threads, Some(&sp));
         assert!(j.contains("\"smoke\": true"));
         assert!(j.contains("\"backend\": \"threads\""));
-        assert!(!j.contains("lookahead") && !j.contains("wire_batch"));
+        for gone in ["lookahead", "wire_batch", "\"sync\"", "nulls", "horizon_advances"] {
+            assert!(!j.contains(gone), "removed key {gone} still emitted");
+        }
         assert!(j.contains("\"speedup\": 4.00"));
         assert!(j.contains("\"app\": \"tsp\""));
-        assert!(j.contains("\"sync\": \"epoch\""));
-        assert!(j.contains("\"sync\": \"async\""));
+        assert!(j.contains("\"app\": \"series\""));
         assert!(j.contains("\"event_slab_high_water\": 9"));
         assert!(j.contains("\"wall_1node_secs\": 6.000"));
         // Floats land at fixed precision (satellite: stable diffs against
@@ -466,9 +415,6 @@ mod tests {
         assert!(j.contains("\"msgs_framed\": 14"));
         assert!(j.contains("\"msgs_batched\": 10"));
         assert!(j.contains("\"bytes_per_frame_avg\": 100.0"));
-        assert!(j.contains("\"horizon_advances\": 31"));
-        assert!(j.contains("\"nulls_sent\": 7"));
-        assert!(j.contains("\"nulls_piggybacked\": 2"));
         // Balanced braces/brackets — cheap well-formedness check without a
         // JSON dependency.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
@@ -479,7 +425,6 @@ mod tests {
     fn sim_points_omit_live_fields() {
         let pts = vec![PerfPoint {
             app: "series",
-            sync_mode: SyncMode::Epoch,
             predecode: true,
             wall_secs: 1.0,
             ops: 10,
@@ -517,7 +462,6 @@ mod tests {
         let wall = WallProfile { nodes: vec![prof] };
         let pts = vec![PerfPoint {
             app: "tsp",
-            sync_mode: SyncMode::Epoch,
             predecode: true,
             wall_secs: 1.0,
             ops: 100,
@@ -526,14 +470,7 @@ mod tests {
             msgs_sent: 5,
             event_slab_high_water: 2,
             wall_1node_secs: Some(2.0),
-            sync: SyncStats {
-                windows: 1,
-                barrier_waits: 8,
-                frames_sent: 1,
-                frame_bytes: 96,
-                msgs_framed: 1,
-                ..SyncStats::default()
-            },
+            sync: SyncStats { windows: 1, barrier_waits: 8, frames_sent: 1, frame_bytes: 96, msgs_framed: 1 },
             wall: Some(wall),
             telemetry: None,
         }];

@@ -85,8 +85,13 @@ impl Requirement {
 
     fn decode<B: Buf>(r: &mut Reader<B>) -> Result<Requirement, CodecError> {
         let scalar = r.u32()?;
-        let n = r.varu()? as usize;
-        let mut vector = HashMap::with_capacity(n);
+        // The count comes off the wire: bound it by the bytes left (each
+        // entry is a u16 node plus a u32 interval) before allocating.
+        let n = r.varu()?;
+        if n > (r.remaining() / 6) as u64 {
+            return Err(CodecError("requirement count exceeds message"));
+        }
+        let mut vector = HashMap::with_capacity(n as usize);
         for _ in 0..n {
             let node = r.u16()?;
             let interval = r.u32()?;
@@ -589,6 +594,17 @@ mod tests {
             priority: 5,
         });
         round_trip(Msg::Println { line: "hello".into(), origin: 2 });
+    }
+
+    #[test]
+    fn oversized_requirement_count_is_an_error() {
+        let mut w = Writer::new();
+        w.u8(5).gid(Gid::new(0, 3)).u16(1).u32(0).u32(0).u32(2).varu(1 << 40);
+        assert!(Msg::decode(w.into_inner().into()).is_err());
+        // A count one past what the remaining bytes can hold is refused too.
+        let mut w = Writer::new();
+        w.u8(5).gid(Gid::new(0, 3)).u16(1).u32(0).u32(0).u32(2).varu(2).u16(1).u32(4);
+        assert!(Msg::decode(w.into_inner().into()).is_err());
     }
 
     #[test]

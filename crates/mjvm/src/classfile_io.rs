@@ -108,6 +108,17 @@ impl<'a> R<'a> {
     fn usz(&mut self) -> Result<usize, ClassFileError> {
         Ok(self.u32()? as usize)
     }
+    /// An element count whose elements take at least `min_bytes` each:
+    /// bounded by the bytes left, so a corrupt count is an error rather
+    /// than an allocation of its size.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, ClassFileError> {
+        let n = self.usz()?;
+        let left = self.buf.len() - self.pos;
+        if n > left / min_bytes {
+            return Err(ClassFileError(format!("count {n} exceeds the {left} bytes left")));
+        }
+        Ok(n)
+    }
 }
 
 fn ty_tag(t: Ty) -> u8 {
@@ -402,7 +413,10 @@ pub fn decode_class(r: &mut R) -> Result<ClassFile, ClassFileError> {
         _ => Some(r.str()?),
     };
     let is_bootstrap = r.u8()? != 0;
-    let nf = r.usz()?;
+    // Minimum encodings: a field is a name plus two bytes; a method a
+    // signature (name, two bytes), flags, max_locals and a code count; an
+    // instruction one opcode byte.
+    let nf = r.count(4 + 2)?;
     let mut fields = Vec::with_capacity(nf);
     for _ in 0..nf {
         let name = r.str()?;
@@ -410,13 +424,13 @@ pub fn decode_class(r: &mut R) -> Result<ClassFile, ClassFileError> {
         let flags = r.u8()?;
         fields.push(FieldDef { name, ty, is_static: flags & 1 != 0, is_volatile: flags & 2 != 0 });
     }
-    let nm = r.usz()?;
+    let nm = r.count(4 + 2 + 1 + 2 + 4)?;
     let mut methods = Vec::with_capacity(nm);
     for _ in 0..nm {
         let sig = read_sig(r)?;
         let flags = r.u8()?;
         let max_locals = r.u16()?;
-        let nc = r.usz()?;
+        let nc = r.count(1)?;
         let mut code = Vec::with_capacity(nc);
         for _ in 0..nc {
             code.push(read_instr(r)?);
@@ -489,7 +503,8 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, ClassFileError> {
         return Err(ClassFileError(format!("unsupported version {v}")));
     }
     let main_class = r.str()?;
-    let nc = r.usz()?;
+    // Each class is at least its length prefix.
+    let nc = r.count(4)?;
     let mut classes = Vec::with_capacity(nc);
     for _ in 0..nc {
         let len = r.usz()?;
@@ -584,6 +599,55 @@ mod tests {
         bytes[0] = b'X';
         assert!(decode_program(&bytes).is_err());
         assert!(decode_program(&[]).is_err());
+    }
+
+    /// One oversized count per allocation site — classes, fields, methods,
+    /// code — must come back as an error, never an allocation of its size.
+    #[test]
+    fn oversized_counts_are_rejected() {
+        let program = |classes: &[Vec<u8>], count: Option<u32>| {
+            let mut w = W { buf: MAGIC.to_vec() };
+            w.u16(VERSION);
+            w.str("M");
+            w.u32(count.unwrap_or(classes.len() as u32));
+            for c in classes {
+                w.usz(c.len());
+                w.buf.extend_from_slice(c);
+            }
+            w.buf
+        };
+        // Class header: name, no super, not bootstrap.
+        let header = || {
+            let mut w = W { buf: Vec::new() };
+            w.str("A");
+            w.u8(0);
+            w.u8(0);
+            w
+        };
+        let mut fields = header();
+        fields.u32(u32::MAX);
+        let mut methods = header();
+        methods.usz(0);
+        methods.u32(u32::MAX);
+        let mut code = header();
+        code.usz(0);
+        code.usz(1);
+        code.str("m");
+        code.u8(0);
+        code.u8(0);
+        code.u8(1);
+        code.u16(0);
+        code.u32(u32::MAX);
+        let cases = [
+            ("classes", program(&[], Some(u32::MAX))),
+            ("fields", program(&[fields.buf], None)),
+            ("methods", program(&[methods.buf], None)),
+            ("code", program(&[code.buf], None)),
+        ];
+        for (site, bytes) in &cases {
+            let err = decode_program(bytes).expect_err(site);
+            assert!(err.0.contains("exceeds"), "{site}: {err}");
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! of the sockets backend: it carries the *same* frame bytes the in-process
 //! channel mesh ships (see [`crate::transport`]) inside `Data` envelopes,
 //! plus the control vocabulary the coordinator and workers speak — the
-//! handshake, the epoch barrier/slot exchange, the async idle reports, and
-//! the shutdown sequence.
+//! handshake, the epoch barrier/slot exchange, telemetry, and the final
+//! report.
 //!
 //! ## Envelope format
 //!
@@ -39,7 +39,9 @@ pub const MAGIC: u32 = 0x4A53_504C;
 /// Wire-protocol version; bumped on any envelope change.
 /// v2: `Welcome` carries telemetry arming (`metrics_interval_us`, `flags`);
 /// `Metrics` and `Fault` envelopes added.
-pub const VERSION: u16 = 2;
+/// v3: the async-sync envelopes (tags 9–12) and the config's sync byte are
+/// gone.
+pub const VERSION: u16 = 3;
 /// `Hello.node_id` value asking the coordinator to assign one.
 pub const ANY_NODE: u16 = u16::MAX;
 /// Upper bound on a single envelope body (corrupt-stream guard).
@@ -89,17 +91,6 @@ pub enum Envelope {
     Slot { round: u64, slot: SlotWire },
     /// Coordinator → worker: all nodes' slots for `round`, in node order.
     Slots { round: u64, slots: Vec<SlotWire> },
-    /// Worker → coordinator (async sync): progress report for the
-    /// coordinator's termination scan — queue head, records drained from
-    /// the wire, live threads, retired instructions.
-    State { qhead: u64, drained: u64, live: u64, ops: u64 },
-    /// Coordinator → worker (async sync): the run's outcome is decided.
-    Done { outcome: u8 },
-    /// Worker → coordinator (async sync): final flush completed.
-    Flushed,
-    /// Coordinator → worker (async sync): all workers flushed; leftover
-    /// data precedes this on the stream — drain it and report.
-    Shutdown,
     /// Worker → coordinator: final per-node run report (opaque here;
     /// serialized by the runtime).
     Report { body: Vec<u8> },
@@ -122,10 +113,6 @@ const T_BARRIER: u8 = 5;
 const T_BARRIER_ACK: u8 = 6;
 const T_SLOT: u8 = 7;
 const T_SLOTS: u8 = 8;
-const T_STATE: u8 = 9;
-const T_DONE: u8 = 10;
-const T_FLUSHED: u8 = 11;
-const T_SHUTDOWN: u8 = 12;
 const T_REPORT: u8 = 13;
 const T_METRICS: u8 = 14;
 const T_FAULT: u8 = 15;
@@ -239,19 +226,6 @@ pub fn encode_envelope(env: &Envelope) -> Vec<u8> {
                 }
             }
         }
-        Envelope::State { qhead, drained, live, ops } => {
-            b.push(T_STATE);
-            put_u64(&mut b, *qhead);
-            put_u64(&mut b, *drained);
-            put_u64(&mut b, *live);
-            put_u64(&mut b, *ops);
-        }
-        Envelope::Done { outcome } => {
-            b.push(T_DONE);
-            b.push(*outcome);
-        }
-        Envelope::Flushed => b.push(T_FLUSHED),
-        Envelope::Shutdown => b.push(T_SHUTDOWN),
         Envelope::Report { body } => {
             b.push(T_REPORT);
             b.extend_from_slice(body);
@@ -332,15 +306,6 @@ fn decode_body(ty: u8, body: &[u8]) -> io::Result<Envelope> {
             }
             Envelope::Slots { round, slots }
         }
-        T_STATE => Envelope::State {
-            qhead: c.u64()?,
-            drained: c.u64()?,
-            live: c.u64()?,
-            ops: c.u64()?,
-        },
-        T_DONE => Envelope::Done { outcome: c.u8()? },
-        T_FLUSHED => Envelope::Flushed,
-        T_SHUTDOWN => Envelope::Shutdown,
         T_REPORT => Envelope::Report { body: c.rest().to_vec() },
         T_METRICS => {
             let node = c.u16()?;
@@ -565,10 +530,6 @@ mod tests {
             Envelope::BarrierAck { round: 42 },
             Envelope::Slot { round: 9, slot: [u64::MAX, 1, 2, 3, 4] },
             Envelope::Slots { round: 9, slots: vec![[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]] },
-            Envelope::State { qhead: u64::MAX, drained: 17, live: 0, ops: 12345 },
-            Envelope::Done { outcome: 1 },
-            Envelope::Flushed,
-            Envelope::Shutdown,
             Envelope::Report { body: vec![5; 40] },
             Envelope::Metrics { node: 2, cells: vec![0, u64::MAX, 17, 42] },
             Envelope::Metrics { node: 0, cells: Vec::new() },
@@ -658,8 +619,7 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
         let err = validate_hello(&hello(MAGIC, VERSION, 0, 0), expect, &claimed).unwrap_err();
         assert!(err.contains("already claimed"), "{err}");
-        let err =
-            validate_hello(&Envelope::Flushed, expect, &claimed).unwrap_err();
+        let err = validate_hello(&Envelope::Barrier { round: 1 }, expect, &claimed).unwrap_err();
         assert!(err.contains("expected Hello"), "{err}");
     }
 
@@ -690,17 +650,12 @@ mod tests {
             (any::<u64>(), arb_slot()).prop_map(|(round, slot)| Envelope::Slot { round, slot }),
             (any::<u64>(), proptest::collection::vec(arb_slot(), 0..9))
                 .prop_map(|(round, slots)| Envelope::Slots { round, slots }),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-                |(qhead, drained, live, ops)| Envelope::State { qhead, drained, live, ops }
-            ),
             proptest::collection::vec(any::<u8>(), 0..64)
                 .prop_map(|body| Envelope::Report { body }),
             (any::<u16>(), proptest::collection::vec(any::<u64>(), 0..24))
                 .prop_map(|(node, cells)| Envelope::Metrics { node, cells }),
             (any::<u16>(), "[ -~]{0,40}", "[ -~]{0,40}")
                 .prop_map(|(node, message, flight)| Envelope::Fault { node, message, flight }),
-            Just(Envelope::Flushed),
-            Just(Envelope::Shutdown),
         ]
     }
 

@@ -40,36 +40,6 @@ pub const FRAME_CHUNK: usize = 64 * 1024;
 /// Bytes of record header preceding each payload in a frame.
 const REC_HDR: usize = 8 + 8 + 8 + 1 + 4;
 
-/// Record-kind byte marking a *null record*: a Chandy–Misra–Bryant promise
-/// carrying no protocol message. The `deliver_ps` header field holds the
-/// promise ("no future record on this channel will deliver below this
-/// time"); `step_ps`, `seq` and the payload length are zero. Null records
-/// exist only at the framing layer — they touch [`FrameStats`], never
-/// [`NetStats`], so message accounting stays identical to the simulated
-/// [`Network`]. Distinct from every [`MsgKind::wire_id`] (those count up
-/// from zero).
-pub const NULL_WIRE_ID: u8 = 0xFF;
-
-/// Count the non-null records inside one encoded frame without decoding
-/// payloads. The sockets coordinator uses this to keep an authoritative
-/// per-destination delivery count for its termination decision: a worker is
-/// quiescent only once it has drained exactly as many records as the
-/// coordinator relayed toward it, so in-flight frames can never be mistaken
-/// for global quiescence.
-pub fn frame_data_records(buf: &[u8]) -> u64 {
-    let mut n = 0u64;
-    let mut at = 0usize;
-    while at + REC_HDR <= buf.len() {
-        let kind = buf[at + 24];
-        let len = u32::from_le_bytes(buf[at + 25..at + 29].try_into().unwrap()) as usize;
-        if kind != NULL_WIRE_ID {
-            n += 1;
-        }
-        at += REC_HDR + len;
-    }
-    n
-}
-
 /// What a driver needs from a message fabric: given a send of `bytes` wire
 /// bytes at virtual `now_ps`, account it on both ends and return the
 /// virtual delivery time (respecting the per-link FIFO rule).
@@ -121,8 +91,8 @@ pub struct Frame {
 /// mesh ([`ChannelFanout`]) ships over `mpsc` channels and recycles buffers
 /// to their senders' pools; the TCP fabric writes length-prefixed envelopes
 /// to a socket and recycles into a local pool. Everything above this trait —
-/// framing, statistics, FIFO delivery planning, null records — is identical
-/// across backends.
+/// framing, statistics, FIFO delivery planning — is identical across
+/// backends.
 pub trait FrameLink: Send {
     /// Deliver a finished frame to `dst`'s inbound path.
     fn ship(&mut self, dst: NodeId, frame: Frame);
@@ -165,11 +135,6 @@ pub struct FrameStats {
     pub frame_bytes: u64,
     /// Messages carried inside those frames.
     pub msgs_framed: u64,
-    /// Null records that had to travel in a frame of their own
-    /// (async sync mode: a standalone promise to a stale peer).
-    pub nulls_sent: u64,
-    /// Null records that rode along in a frame already carrying data.
-    pub nulls_piggybacked: u64,
 }
 
 /// One node's end of a fully connected channel mesh.
@@ -190,8 +155,6 @@ pub struct ChannelEndpoint {
     recycle_rx: Receiver<Vec<u8>>,
     /// Per-destination frame under construction (batch mode).
     pending: Vec<Vec<u8>>,
-    /// Frames accepted by [`Self::wait_inbound`] ahead of the next drain.
-    stash: Vec<Frame>,
     /// Local buffer pool (fed by `recycle_rx` and loopback returns).
     pool: Vec<Vec<u8>>,
     /// `false` ships every record as its own frame immediately.
@@ -263,7 +226,6 @@ impl ChannelEndpoint {
             rx,
             recycle_rx,
             pending: vec![Vec::new(); n],
-            stash: Vec::new(),
             pool: Vec::new(),
             batch,
             last_delivery: vec![0; n],
@@ -401,60 +363,12 @@ impl ChannelEndpoint {
         }
     }
 
-    /// Append a null record (promise `promise_ps`) to the frame under
-    /// construction for `dst` and ship the frame immediately. A promise is
-    /// only useful once it is in the peer's channel, so unlike data records
-    /// nulls never wait for a later flush. Counted as piggybacked when the
-    /// frame already carried data records, standalone otherwise.
-    pub fn push_null(&mut self, dst: NodeId, promise_ps: u64) {
-        debug_assert_ne!(dst, self.id, "null record to self");
-        let mut buf = std::mem::take(&mut self.pending[dst as usize]);
-        if buf.capacity() == 0 {
-            buf = self.take_buf();
-        }
-        if buf.is_empty() {
-            self.frame_stats.nulls_sent += 1;
-        } else {
-            self.frame_stats.nulls_piggybacked += 1;
-        }
-        let start = buf.len();
-        buf.resize(start + REC_HDR, 0);
-        buf[start..start + 8].copy_from_slice(&promise_ps.to_le_bytes());
-        buf[start + 24] = NULL_WIRE_ID;
-        self.pending[dst as usize] = buf;
-        self.flush_to(dst);
-    }
-
-    /// Block until an inbound frame arrives (stashed for the next drain) or
-    /// `timeout` elapses. Returns whether a frame arrived. This is the
-    /// async-mode park: a node whose horizon is exhausted sleeps here until
-    /// a peer's data or null record can move it forward.
-    pub fn wait_inbound(&mut self, timeout: std::time::Duration) -> bool {
-        match self.rx.recv_timeout(timeout) {
-            Ok(frame) => {
-                self.stash.push(frame);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
     /// Drain all inbound frames, invoking the sink for each record in
     /// arrival order and recording receive statistics. Payloads are decoded
     /// in place from the frame buffer (no copy); buffers go back to their
-    /// senders' pools. Null records are routed to `nulls` (src, promise) and
-    /// touch no statistics.
-    pub fn drain_frames_with_nulls(&mut self, sink: &mut RecordSink<'_>, nulls: &mut dyn FnMut(NodeId, u64)) {
-        loop {
-            let frame = if self.stash.is_empty() {
-                match self.rx.try_recv() {
-                    Ok(f) => f,
-                    Err(_) => break,
-                }
-            } else {
-                // FIFO: a stashed frame arrived before anything still in rx.
-                self.stash.remove(0)
-            };
+    /// senders' pools.
+    pub fn drain_frames(&mut self, sink: &mut RecordSink<'_>) {
+        while let Ok(frame) = self.rx.try_recv() {
             let mut at = 0usize;
             while at < frame.buf.len() {
                 let h = &frame.buf[at..at + REC_HDR];
@@ -465,10 +379,6 @@ impl ChannelEndpoint {
                 at += REC_HDR;
                 let payload = &frame.buf[at..at + len];
                 at += len;
-                if h[24] == NULL_WIRE_ID {
-                    nulls(frame.src, deliver_ps);
-                    continue;
-                }
                 let kind = MsgKind::from_wire(h[24]).expect("bad frame record kind");
                 self.stats.record_recv(len, kind);
                 sink(frame.src, kind, deliver_ps, step_ps, seq, payload);
@@ -476,14 +386,6 @@ impl ChannelEndpoint {
             // Hand the buffer back to whoever allocated it.
             self.wire.recycle(frame.src, frame.buf);
         }
-    }
-
-    /// [`Self::drain_frames_with_nulls`] for drivers that never emit null
-    /// records (epoch sync): encountering one is a protocol violation.
-    pub fn drain_frames(&mut self, sink: &mut RecordSink<'_>) {
-        self.drain_frames_with_nulls(sink, &mut |src, _| {
-            panic!("null record from node {src} outside async sync mode")
-        });
     }
 
     /// Receive-side accounting without a channel hop (setup-phase traffic
@@ -703,73 +605,6 @@ mod tests {
         assert_eq!(h.count(), 1);
         // One frame: two records of (header + 5 payload bytes) each.
         assert_eq!(h.sum(), 2 * (REC_HDR as u64 + 5));
-    }
-
-    #[test]
-    fn null_records_carry_promises_without_touching_net_stats() {
-        let mut mesh = ChannelEndpoint::mesh(&links(), true);
-        // Standalone null: empty pending frame for dst 1.
-        mesh[0].push_null(1, 777);
-        // Piggybacked null: a data record is already pending for dst 1.
-        put(&mut mesh[0], 0, 1, MsgKind::Control, b"data");
-        mesh[0].push_null(1, 888);
-        let mut data = Vec::new();
-        let mut promises = Vec::new();
-        mesh[1].drain_frames_with_nulls(
-            &mut |src, kind, _, _, _, p| data.push((src, kind, p.to_vec())),
-            &mut |src, promise| promises.push((src, promise)),
-        );
-        assert_eq!(promises, vec![(0, 777), (0, 888)]);
-        assert_eq!(data, vec![(0, MsgKind::Control, b"data".to_vec())]);
-        assert_eq!(mesh[0].frame_stats.nulls_sent, 1);
-        assert_eq!(mesh[0].frame_stats.nulls_piggybacked, 1);
-        assert_eq!(mesh[0].frame_stats.msgs_framed, 1);
-        // NetStats sees only the data record on both ends.
-        assert_eq!(mesh[0].stats.msgs_sent, 1);
-        assert_eq!(mesh[1].stats.msgs_recv, 1);
-        assert_eq!(mesh[1].stats.bytes_recv, 4);
-    }
-
-    #[test]
-    fn frame_data_records_skips_nulls_and_spans_payloads() {
-        let mut mesh = ChannelEndpoint::mesh(&links(), true);
-        // Nulls ship their frame immediately: the first is a standalone
-        // frame (0 data records), the second rides behind two data records.
-        mesh[0].push_null(1, 777);
-        put(&mut mesh[0], 0, 1, MsgKind::Control, b"data");
-        put(&mut mesh[0], 1, 1, MsgKind::Diff, &vec![9u8; 300]);
-        mesh[0].push_null(1, 888);
-        mesh[0].flush();
-        let standalone = mesh[1].rx.try_recv().expect("standalone null frame");
-        assert_eq!(frame_data_records(&standalone.buf), 0);
-        let frame = mesh[1].rx.try_recv().expect("data frame");
-        assert_eq!(frame_data_records(&frame.buf), 2);
-        assert_eq!(frame_data_records(&[]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "null record from node 0 outside async sync mode")]
-    fn epoch_drain_rejects_null_records() {
-        let mut mesh = ChannelEndpoint::mesh(&links(), true);
-        mesh[0].push_null(1, 5);
-        mesh[1].drain_frames(&mut |_, _, _, _, _, _| {});
-    }
-
-    #[test]
-    fn wait_inbound_stashes_frames_for_the_next_drain() {
-        let mut mesh = ChannelEndpoint::mesh(&links(), true);
-        put(&mut mesh[0], 0, 1, MsgKind::Control, b"a");
-        mesh[0].flush();
-        assert!(mesh[1].wait_inbound(std::time::Duration::from_secs(5)));
-        // A second frame sits in rx behind the stashed one; drain order
-        // must stay arrival order.
-        put(&mut mesh[0], 1, 1, MsgKind::Control, b"b");
-        mesh[0].flush();
-        let mut got = Vec::new();
-        mesh[1].drain_frames(&mut |_, _, _, _, _, p| got.push(p.to_vec()));
-        assert_eq!(got, vec![b"a".to_vec(), b"b".to_vec()]);
-        // Nothing left: the wait times out.
-        assert!(!mesh[1].wait_inbound(std::time::Duration::from_millis(1)));
     }
 
     #[test]

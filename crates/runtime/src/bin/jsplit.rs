@@ -3,7 +3,7 @@
 //! ```text
 //! jsplit run prog.mjvm [--nodes N] [--profile sun|ibm] [--baseline]
 //!        [--protocol mts|classic] [--chunk ELEMS] [--balancer least|rr|pinned]
-//!        [--backend sim|threads|sockets] [--sync epoch|async]
+//!        [--backend sim|threads|sockets]
 //!        [--trace out.json] [--stats] [--wall-profile] [--objprof]
 //!        [--metrics out.jsonl] [--metrics-interval 50ms] [--watchdog 500ms]
 //!        [--listen HOST:PORT] [--no-spawn]
@@ -25,7 +25,7 @@ use jsplit_dsm::ProtocolMode;
 use jsplit_mjvm::classfile_io;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, Balancer, ClusterConfig, MetricsConfig, SyncMode};
+use jsplit_runtime::{Backend, Balancer, ClusterConfig, MetricsConfig};
 use std::time::Duration;
 
 /// Parse a human duration: a bare number is milliseconds; `us`, `ms` and
@@ -51,7 +51,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  jsplit run <prog.mjvm> [--nodes N] [--profile sun|ibm] [--baseline]\n\
          \x20          [--protocol mts|classic] [--chunk ELEMS] [--balancer least|rr|pinned]\n\
-         \x20          [--backend sim|threads|sockets] [--sync epoch|async]\n\
+         \x20          [--backend sim|threads|sockets]\n\
          \x20          [--trace out.json] [--stats] [--wall-profile] [--objprof]\n\
          \x20          [--metrics out.jsonl] [--metrics-interval 50ms] [--watchdog 500ms]\n\
          \x20          [--listen HOST:PORT] [--no-spawn]\n\
@@ -107,7 +107,6 @@ fn cmd_run(rest: &[String]) {
     let mut wall_profile = false;
     let mut objprof = false;
     let mut backend = Backend::Sim;
-    let mut sync = SyncMode::default();
     let mut metrics_out: Option<String> = None;
     let mut metrics_interval: Option<Duration> = None;
     let mut watchdog: Option<Duration> = None;
@@ -143,13 +142,6 @@ fn cmd_run(rest: &[String]) {
             }
             "--listen" => listen = Some(it.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())),
             "--no-spawn" => spawn_workers = false,
-            "--sync" => {
-                sync = match it.next().map(String::as_str) {
-                    Some("epoch") => SyncMode::Epoch,
-                    Some("async") => SyncMode::Async,
-                    _ => usage(),
-                }
-            }
             "--metrics" => metrics_out = Some(it.next().cloned().unwrap_or_else(|| usage())),
             "--metrics-interval" => {
                 metrics_interval =
@@ -184,7 +176,6 @@ fn cmd_run(rest: &[String]) {
     cfg.array_chunk = chunk;
     cfg.balancer = balancer;
     cfg.backend = backend;
-    cfg.sync = sync;
     cfg.sockets.listen = listen;
     cfg.sockets.spawn_workers = spawn_workers;
     // The sockets backend rejects tracing (per-node buffers would need
@@ -194,7 +185,7 @@ fn cmd_run(rest: &[String]) {
         cfg.trace = Some(jsplit_trace::TraceMode::Full);
     }
     // Any telemetry flag arms the registry + sampler; the watchdog rides on
-    // the same sampler thread (threads backend, async sync).
+    // the same sampler thread.
     if metrics_out.is_some() || metrics_interval.is_some() || watchdog.is_some() {
         let mut m = MetricsConfig {
             out: metrics_out.as_ref().map(std::path::PathBuf::from),
@@ -240,20 +231,13 @@ fn cmd_run(rest: &[String]) {
     if matches!(backend, Backend::Threads | Backend::Sockets) {
         let s = &report.sync;
         eprintln!(
-            "[jsplit] sync mode={} windows={} barrier_waits={} frames={} msgs_batched={} bytes/frame={:.1}",
-            if sync == SyncMode::Async { "async" } else { "epoch" },
+            "[jsplit] sync windows={} barrier_waits={} frames={} msgs_batched={} bytes/frame={:.1}",
             s.windows,
             s.barrier_waits,
             s.frames_sent,
             s.msgs_batched(),
             s.bytes_per_frame_avg(),
         );
-        if sync == SyncMode::Async {
-            eprintln!(
-                "[jsplit] async horizon_advances={} nulls_sent={} nulls_piggybacked={}",
-                s.horizon_advances, s.nulls_sent, s.nulls_piggybacked,
-            );
-        }
     }
     if let Some(t) = &report.telemetry {
         let (p50, p90, p99) = jsplit_runtime::telemetry::lag_percentiles(t);

@@ -63,22 +63,6 @@ impl Default for SocketsConfig {
     }
 }
 
-/// How the threads backend's nodes agree on safe horizons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncMode {
-    /// Windowed rounds: flush → single `Barrier::wait` → publish node
-    /// slots → identical local decision (DESIGN.md §12). Every node pays
-    /// for the slowest node every round.
-    #[default]
-    Epoch,
-    /// Fully asynchronous conservative sync (DESIGN.md §14): per-peer
-    /// channel clocks advanced by data deliveries and Chandy–Misra–Bryant
-    /// null-message promises; each node executes up to its own input
-    /// horizon with no barrier and no global round structure. Virtual-time
-    /// results are identical to `Epoch` and to the sim.
-    Async,
-}
-
 /// Live telemetry configuration (`None` on [`ClusterConfig::metrics`] =
 /// disabled, the zero-cost default). All of it is side-band: a run with
 /// metrics on is bit-identical to one with them off.
@@ -95,9 +79,9 @@ pub struct MetricsConfig {
     /// Keep a per-node flight recorder and dump it on panic or stall.
     pub flight: bool,
     /// Fault injection for watchdog tests: the named node sleeps this many
-    /// wall-clock ms before entering its async loop, pinning every peer's
-    /// horizon on its unpublished promise. Virtual-time results are
-    /// unaffected (the sleep is wall-clock only).
+    /// wall-clock ms before its first epoch round, so every peer parks at
+    /// the round barrier on a node that has not reached it. Virtual-time
+    /// results are unaffected (the sleep is wall-clock only).
     pub stall_inject: Option<(u16, u64)>,
 }
 
@@ -165,9 +149,6 @@ pub struct ClusterConfig {
     /// Which driver executes the run (sim by default; mid-run joins still
     /// require the sim backend).
     pub backend: Backend,
-    /// Synchronization protocol for the threads backend (epoch barrier
-    /// rounds vs asynchronous per-pair horizons; results are identical).
-    pub sync: SyncMode,
     /// Live telemetry: lock-free registry + wall-clock sampler (+ watchdog
     /// and flight recorder on the threads backend). `None` = off, the
     /// zero-cost default; on or off, runs are bit-identical.
@@ -208,7 +189,6 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            sync: SyncMode::default(),
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
@@ -233,7 +213,6 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            sync: SyncMode::default(),
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
@@ -258,7 +237,6 @@ impl ClusterConfig {
             trace: None,
             profile: false,
             backend: Backend::default(),
-            sync: SyncMode::default(),
             metrics: None,
             sockets: SocketsConfig::default(),
             classic_interp: false,
@@ -313,12 +291,6 @@ impl ClusterConfig {
     /// Select the execution backend (virtual-time sim vs real OS threads).
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Select the threads backend's synchronization protocol.
-    pub fn with_sync(mut self, sync: SyncMode) -> Self {
-        self.sync = sync;
         self
     }
 
@@ -378,10 +350,7 @@ mod tests {
         assert_eq!(th.backend, Backend::Threads);
         assert!(!th.profile);
         assert!(ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_profile(true).profile);
-        assert_eq!(th.sync, SyncMode::Epoch);
-        let asy = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_sync(SyncMode::Async);
-        assert_eq!(asy.sync, SyncMode::Async);
-        assert!(asy.metrics.is_none());
+        assert!(th.metrics.is_none());
         let m = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_metrics(MetricsConfig {
             watchdog_budget: Some(std::time::Duration::from_millis(200)),
             ..MetricsConfig::default()

@@ -3,22 +3,14 @@
 //! One [`SyncEngine`] is a node's event loop: drain inbound records →
 //! derive a safe virtual-time horizon → execute local events below it →
 //! publish progress — the conservative PDES core shared by every parallel
-//! backend. What *varies* per backend is how progress crosses node
-//! boundaries, and that seam is two small traits, one per sync mode:
-//!
-//! * [`EpochPeers`] — the windowed (barrier-round) protocol's four
-//!   primitives: round barrier, slot publish, publish wait, slot read.
-//!   The threads backend implements them over shared-memory atomics and a
-//!   `std::sync::Barrier`; the sockets backend over `Barrier`/`BarrierAck`/
-//!   `Slot`/`Slots` envelopes relayed by the coordinator.
-//! * [`AsyncPeers`] — the five points where the barrier-free loop
-//!   ([`SyncEngine::run_async`]) differs between peers that share memory
-//!   and peers that do not: horizon source, null policy, per-burst
-//!   publication, termination and the shutdown flush rendezvous. The
-//!   threads backend implements them over [`AsyncShared`] (published
-//!   slots, CAS-decided termination); the sockets backend over pure
-//!   per-channel Chandy–Misra–Bryant promises with the *coordinator*
-//!   detecting termination (DESIGN.md §14, §16.3).
+//! backend. There is one protocol, epoch rounds (DESIGN.md §12; §14 says
+//! why there is no second one). What *varies* per backend is how progress
+//! crosses node boundaries, and that seam is one small trait,
+//! [`EpochPeers`]: the protocol's four primitives — round barrier, slot
+//! publish, publish wait, slot read. The threads backend implements them
+//! over shared-memory atomics and a `std::sync::Barrier`; the sockets
+//! backend over `Barrier`/`BarrierAck`/`Slot`/`Slots` envelopes relayed by
+//! the coordinator.
 //!
 //! # Conservative virtual-time windows
 //!
@@ -30,9 +22,9 @@
 //!
 //! ## Lookahead
 //!
-//! Every horizon — epoch rounds and async snapshots alike — comes from one
-//! rule, [`Horizons::horizon`], over the published per-node promises
-//! (null-message style): node `j` advances to
+//! Every horizon comes from one rule, [`Horizons::horizon`], over the
+//! per-node promises published each round (null-message style): node `j`
+//! advances to
 //!
 //! ```text
 //! h_j = min( min_{i≠j} (next_i + base_i),          direct influence
@@ -58,8 +50,8 @@
 //! Within a window nodes run concurrently on real CPUs (the wall-clock
 //! speedup), yet each node's virtual-time execution is identical to what
 //! the sequential simulator would do — program output and protocol
-//! counters match the sim backend under every backend and sync mode
-//! (asserted by the cross-backend differential tests). The residual
+//! counters match the sim backend under every backend (asserted by the
+//! cross-backend differential tests). The residual
 //! freedom is tie-ordering of *distinct nodes'* events at exactly equal
 //! virtual times, which the deterministic key resolves run-to-run
 //! reproducibly.
@@ -79,8 +71,7 @@ use jsplit_trace::{
     SpanKind, SpanRecorder, TraceEvent, TraceMode, TraceSink, VecRecorder,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -162,182 +153,6 @@ pub(crate) trait EpochPeers {
     fn read(&mut self, round: u64, out: &mut [EpochSlot]);
 }
 
-/// The barrier-free protocol's seam: the five points where the one async
-/// loop ([`SyncEngine::run_async`]) differs between peers that share
-/// memory (the threads backend, over [`AsyncShared`]) and peers that only
-/// exchange messages (the sockets backend, whose coordinator owns
-/// termination). DESIGN.md §16.3 tabulates both implementations.
-pub(crate) trait AsyncPeers {
-    /// **Horizon source.** A safe horizon from published peer state, read
-    /// without blocking — the loop takes the max of it and the channel
-    /// clocks. `0` when the peers publish nothing beyond their promises.
-    fn snapshot_horizon(&mut self, eng: &SyncEngine) -> u64;
-    /// **Null policy.** Whether peer `dst`, last promised `sent`, needs a
-    /// standalone null carrying the strictly higher `promise` now.
-    fn wants_null(&self, dst: usize, sent: u64, promise: u64) -> bool;
-    /// Null policy, demand side: raised for exactly the park on the
-    /// inbound channel.
-    fn set_parked(&mut self, _me: usize, _parked: bool) {}
-    /// **Per-burst publication**, opening: runs before the burst's drain.
-    fn open_burst(&mut self, _me: usize) {}
-    /// Per-burst publication, closing: the burst drained `drained` data
-    /// records and executed `burst` events below `horizon`.
-    fn publish_burst(&mut self, eng: &mut SyncEngine, drained: u64, burst: u64, horizon: u64);
-    /// **Termination**, polled after every flush. `Again` also covers
-    /// "outcome just decided": the next poll reports it.
-    fn poll(&mut self, eng: &mut SyncEngine, horizon: u64) -> AsyncPoll;
-    /// **Shutdown flush rendezvous**: announce this node's final flush and
-    /// block until every node's leftovers are in our inbound channel.
-    fn flush_rendezvous(&mut self);
-}
-
-/// What [`AsyncPeers::poll`] tells the loop to do next.
-pub(crate) enum AsyncPoll {
-    /// The run is over with this [`async_done`] outcome.
-    Done(u64),
-    /// Loop straight around: work may be executable.
-    Again,
-    /// Nothing to run below the horizon: park unless the snapshot moved.
-    Idle,
-}
-
-/// Cross-node state for the in-process asynchronous sync mode (DESIGN.md
-/// §14): no barrier, no rounds — progress rides per-channel promises, and
-/// the only shared state is what termination detection needs.
-///
-/// Counter discipline (all `SeqCst`; the proofs in §14.3 lean on the
-/// single total order):
-/// * `spawns_sent` / `msgs_sent` are incremented *before* the record can
-///   enter a channel ([`SyncEngine::transmit`]);
-/// * a node's `live` delta is added *before* its `spawns_recv` delta at
-///   burst end, and both only after the installs they describe;
-/// * `msgs_recv` is incremented while the draining node's slot version is
-///   odd, before it republishes `next`.
-pub(crate) struct AsyncShared {
-    /// Per-node `(version, next)`: `version` odd while the node is inside
-    /// a drain→process→publish burst, even while it is idle between
-    /// bursts; `next` is its earliest pending event (`u64::MAX` if none),
-    /// valid whenever `version` is even.
-    pub slots: Vec<AsyncSlot>,
-    /// Live guest threads cluster-wide (sum of published per-node deltas;
-    /// deltas wrap mod 2⁶⁴, the sum is exact). Initialized to 1: the main
-    /// thread is prepaid so no checker can observe an all-zero world
-    /// before node 0 bootstraps.
-    pub live: AtomicU64,
-    pub spawns_sent: AtomicU64,
-    pub spawns_recv: AtomicU64,
-    /// Remote data records sent / drained (loopbacks never enter a
-    /// channel and are excluded; null records are not data).
-    pub msgs_sent: AtomicU64,
-    pub msgs_recv: AtomicU64,
-    /// Per-pair drain acknowledgements: `acked[src·n + dst]` counts the
-    /// data records from `src` that `dst` has drained into its queue. A
-    /// receiver credits its cell *after* republishing its own `next`
-    /// (which then covers the drained events); the sender prunes its
-    /// `unacked` send-time floor against the cell. Channels are FIFO per
-    /// pair, so a bare count identifies exactly which sends are ack'd.
-    pub acked: Vec<AtomicU64>,
-    pub ops: AtomicU64,
-    /// Run outcome, decided exactly once ([`async_done`] values).
-    pub done: AtomicU64,
-    /// Shutdown rendezvous: nodes increment after their final flush; the
-    /// final leftover drain waits for all `n`, so every sent record is
-    /// receive-accounted before endpoints are torn down.
-    pub flushed: AtomicU64,
-}
-
-#[derive(Default)]
-pub(crate) struct AsyncSlot {
-    pub version: AtomicU64,
-    /// Pending-aware `next` ([`SyncEngine::async_next`]): earliest queued
-    /// event, clamped to the node's in-flight send floor. Horizon input.
-    pub next: AtomicU64,
-    /// Bare queue head, published alongside `next`: the *executable*
-    /// demand signal. A node parked at `qnext` can only be unblocked by a
-    /// peer whose delivery bound crosses it — the gate standalone nulls
-    /// ride on. (`next` would over-trigger: an in-flight-send floor pins
-    /// it below anything the node could actually run.)
-    pub qnext: AtomicU64,
-    /// True while the node is parked on its inbound channel
-    /// ([`SyncEngine::run_async`]'s horizon wait) — the other half of the
-    /// demand signal: an awake peer recomputes its horizon from the
-    /// published snapshot by itself and needs no frame.
-    pub parked: AtomicBool,
-}
-
-/// Run-outcome values ([`AsyncShared::done`] and the sockets backend's
-/// `Done` envelope payload).
-pub(crate) mod async_done {
-    pub const RUNNING: u64 = 0;
-    pub const FINISH: u64 = 1;
-    pub const DEADLOCK: u64 = 2;
-    pub const ABORT: u64 = 3;
-}
-
-impl AsyncShared {
-    pub fn new(n: usize) -> AsyncShared {
-        AsyncShared {
-            slots: (0..n).map(|_| AsyncSlot::default()).collect(),
-            live: AtomicU64::new(1),
-            spawns_sent: AtomicU64::new(0),
-            spawns_recv: AtomicU64::new(0),
-            msgs_sent: AtomicU64::new(0),
-            msgs_recv: AtomicU64::new(0),
-            acked: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
-            ops: AtomicU64::new(0),
-            done: AtomicU64::new(async_done::RUNNING),
-            flushed: AtomicU64::new(0),
-        }
-    }
-
-    /// Finish detection without a rendezvous (§14.3): `live == 0` with
-    /// spawn counters settled. The read order `sent, recv, live, sent` is
-    /// load-bearing: any spawn not yet fully published leaves either a
-    /// counter mismatch or a visible live thread at one of these reads.
-    pub fn finished(&self) -> bool {
-        let s1 = self.spawns_sent.load(Ordering::SeqCst);
-        let r1 = self.spawns_recv.load(Ordering::SeqCst);
-        let l = self.live.load(Ordering::SeqCst);
-        let s2 = self.spawns_sent.load(Ordering::SeqCst);
-        l == 0 && s1 == r1 && s1 == s2
-    }
-
-    /// Deadlock detection (§14.3): live threads, every published `next`
-    /// at infinity, nothing in flight — double-scanned with slot versions
-    /// even and stable so the snapshot is a consistent quiescent state.
-    /// Cold path: only runs on an idle node between parks. `vbuf` is the
-    /// caller's reusable version-snapshot buffer.
-    pub fn deadlocked(&self, vbuf: &mut Vec<u64>) -> bool {
-        vbuf.clear();
-        for s in &self.slots {
-            let v = s.version.load(Ordering::SeqCst);
-            if v % 2 == 1 || s.next.load(Ordering::SeqCst) != u64::MAX {
-                return false;
-            }
-            vbuf.push(v);
-        }
-        let ms1 = self.msgs_sent.load(Ordering::SeqCst);
-        let mr1 = self.msgs_recv.load(Ordering::SeqCst);
-        let s1 = self.spawns_sent.load(Ordering::SeqCst);
-        let r1 = self.spawns_recv.load(Ordering::SeqCst);
-        let l = self.live.load(Ordering::SeqCst);
-        if l == 0 || ms1 != mr1 || s1 != r1 {
-            return false;
-        }
-        // Stability re-scan: versions unchanged means no node drained or
-        // processed anything between the two scans, so the `next` values
-        // and counters describe one global instant.
-        for (s, &v) in self.slots.iter().zip(vbuf.iter()) {
-            if s.version.load(Ordering::SeqCst) != v {
-                return false;
-            }
-        }
-        self.msgs_sent.load(Ordering::SeqCst) == ms1
-            && self.msgs_recv.load(Ordering::SeqCst) == mr1
-            && self.spawns_sent.load(Ordering::SeqCst) == s1
-    }
-}
-
 /// What one node's engine hands back when the run is over.
 pub(crate) struct NodeOutcome {
     pub node: NodeRuntime,
@@ -347,13 +162,10 @@ pub(crate) struct NodeOutcome {
     pub aborted: bool,
     /// Final length of the local event-payload slab (live-event bound).
     pub slab_high_water: u64,
-    /// Windows this node processed (identical on every node under epoch
-    /// sync; per-node bursts-with-work under async).
+    /// Windows this node processed (identical on every node).
     pub windows: u64,
-    /// Round-barrier crossings this node made (zero under async sync).
+    /// Round-barrier crossings this node made.
     pub barrier_waits: u64,
-    /// Times this node's safe horizon strictly advanced (async sync).
-    pub horizon_advances: u64,
     /// The node's private trace sink, still open: the driver appends the
     /// leftover DSM/endpoint buffers (stamped at the *global* finish time,
     /// which no single node knows) before draining it.
@@ -379,12 +191,6 @@ pub(crate) struct SyncEngine {
     pub node: NodeRuntime,
     pub endpoint: ChannelEndpoint,
     pub hz: Horizons,
-    /// Send-coverage state for async peers that share memory (§14.4;
-    /// `None` under epoch sync and in the sockets backend). Its presence
-    /// arms the eager global counter increments in
-    /// [`SyncEngine::transmit`], the drain's republish-then-ack and the
-    /// pruning of `unacked`.
-    pub asy: Option<Arc<AsyncShared>>,
     mode: Mode,
     thread_main: MethodId,
     n_nodes: usize,
@@ -413,24 +219,8 @@ pub(crate) struct SyncEngine {
     /// Reused drain staging buffer (sorted per round, never reallocated in
     /// the steady state).
     drain_scratch: Vec<(u64, u64, NodeId, u64, Msg)>,
-    /// Cumulative data records shipped per destination (async sync);
-    /// pairs with [`AsyncShared::acked`] to prune `unacked`.
-    sent_to: Vec<u64>,
-    /// Send times of records shipped but not yet drained by their
-    /// receiver, per destination, in channel (FIFO) order:
-    /// `(cumulative send index, virtual send time)`. The oldest front
-    /// across all queues is the send-coverage floor every published
-    /// `next` is clamped to — the invariant that keeps the async horizon
-    /// snapshot valid with records in flight (§14.4).
-    unacked: Vec<VecDeque<(u64, u64)>>,
-    /// Reused per-drain record counts per source (ack credits).
-    ack_scratch: Vec<u64>,
-    /// Last null promise shipped per peer (async sync).
-    promised: Vec<u64>,
     windows: u64,
     barrier_waits: u64,
-    /// Times the safe horizon strictly advanced (async sync only).
-    horizon_advances: u64,
     /// This node's private trace sink (`None` = tracing off). Never shared:
     /// recording is a plain method call on thread-local state.
     pub recorder: Option<Box<dyn TraceSink + Send>>,
@@ -443,7 +233,7 @@ pub(crate) struct SyncEngine {
     /// Flight recorder for recent state transitions (`None` = off).
     pub flight: Option<Arc<FlightRecorder>>,
     /// Watchdog fault injection: sleep this many wall-clock ms before the
-    /// first async iteration, pinning peers on our unpublished promise.
+    /// first epoch round, leaving every peer parked at its barrier.
     pub stall_inject_ms: Option<u64>,
     /// Cross-process telemetry pump (`None` outside the sockets backend):
     /// ships this node's registry row toward the coordinator as a
@@ -477,7 +267,6 @@ impl SyncEngine {
             node,
             endpoint,
             hz,
-            asy: None,
             mode,
             thread_main,
             n_nodes,
@@ -493,13 +282,8 @@ impl SyncEngine {
             errors: Vec::new(),
             fx: Vec::new(),
             drain_scratch: Vec::new(),
-            sent_to: vec![0; n_nodes],
-            unacked: (0..n_nodes).map(|_| VecDeque::new()).collect(),
-            ack_scratch: vec![0; n_nodes],
-            promised: vec![0; n_nodes],
             windows: 0,
             barrier_waits: 0,
-            horizon_advances: 0,
             recorder: None,
             profiler: None,
             metrics: None,
@@ -553,17 +337,17 @@ impl SyncEngine {
 
     /// Log one flight-recorder transition (no-op when disabled).
     #[inline]
-    pub(crate) fn fly(&self, tag: FlightTag, a: u64, b: u64) {
+    fn fly(&self, tag: FlightTag, a: u64, b: u64) {
         if let Some(f) = &self.flight {
             f.log(self.endpoint.id, tag, a, b);
         }
     }
 
     /// Publish this node's registry cells: one relaxed store per value, of
-    /// counters the loop already maintains. Called at points the hot path
-    /// visits anyway (epoch round publish, async burst publish, pre-park);
-    /// with metrics off the whole thing is one untaken branch.
-    pub(crate) fn publish_metrics(&self, horizon: u64, next: u64, qnext: u64) {
+    /// counters the loop already maintains. Called once per round, on
+    /// entry to the round barrier, and at the end of the run; with metrics
+    /// off the whole thing is one untaken branch.
+    fn publish_metrics(&self, horizon: u64, next: u64) {
         let Some(reg) = &self.metrics else {
             return;
         };
@@ -572,17 +356,14 @@ impl SyncEngine {
         reg.set(me, Metric::LiveThreads, self.node.live() as u64);
         reg.set(me, Metric::Windows, self.windows);
         reg.set(me, Metric::BarrierWaits, self.barrier_waits);
-        reg.set(me, Metric::HorizonAdvances, self.horizon_advances);
         reg.set(me, Metric::HorizonPs, horizon);
         reg.set(me, Metric::NextEventPs, next);
-        reg.set(me, Metric::QueueHeadPs, qnext);
         let ns = &self.endpoint.stats;
         reg.set(me, Metric::NetMsgsSent, ns.msgs_sent);
         reg.set(me, Metric::NetBytesSent, ns.bytes_sent);
         reg.set(me, Metric::NetMsgsRecv, ns.msgs_recv);
         let fs = &self.endpoint.frame_stats;
         reg.set(me, Metric::FramesSent, fs.frames_sent);
-        reg.set(me, Metric::NullsSent, fs.nulls_sent + fs.nulls_piggybacked);
         if let Some(d) = self.node.dsm_stats_ref() {
             reg.set(me, Metric::DsmFetches, d.fetches);
             reg.set(me, Metric::DsmDiffs, d.diffs_sent);
@@ -592,7 +373,7 @@ impl SyncEngine {
     }
 
     /// Raise or clear the parked gauge and log the matching flight mark,
-    /// around either sync mode's blocking wait.
+    /// around the round's blocking waits (barrier and slot wait).
     fn note_park(&self, parked: bool, a: u64, b: u64) {
         if let Some(reg) = &self.metrics {
             reg.set(self.endpoint.id, Metric::Parked, u64::from(parked));
@@ -651,26 +432,8 @@ impl SyncEngine {
     /// remote messages into the destination's pending frame, self-sends
     /// straight back into the local queue.
     fn transmit(&mut self, at: u64, step: u64, dst: NodeId, msg: Msg) {
-        // Async termination counters go up *before* the record can enter a
-        // channel (`endpoint.transmit` may auto-flush a full frame): a
-        // checker that has not seen the increment cannot have seen the
-        // message either — the send-before-flight rule §14.3 leans on.
         if matches!(msg, Msg::SpawnThread { .. }) {
             self.spawns_sent += 1;
-            if let Some(a) = &self.asy {
-                a.spawns_sent.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        if dst != self.endpoint.id {
-            if let Some(a) = &self.asy {
-                a.msgs_sent.fetch_add(1, Ordering::SeqCst);
-                // Send-coverage bookkeeping (§14.4): until the receiver
-                // acks the drain, every published `next` of ours is clamped
-                // to this record's send time, so the horizon snapshot keeps
-                // covering it while it is in flight.
-                self.sent_to[dst as usize] += 1;
-                self.unacked[dst as usize].push_back((self.sent_to[dst as usize], at));
-            }
         }
         let kind = msg.kind();
         let (deliver, local) = self.endpoint.transmit(at, step, dst, kind, &mut |w| msg.encode_into(w));
@@ -762,7 +525,7 @@ impl SyncEngine {
     }
 
     /// Pop-side of the event loop: execute one scheduled event at `time`
-    /// whose payload sits at slab `idx` (shared by both sync modes).
+    /// whose payload sits at slab `idx`.
     fn process_one(&mut self, time: u64, idx: usize) {
         let ev = self.payloads[idx].take().expect("event payload");
         self.free_events.push(idx);
@@ -786,7 +549,7 @@ impl SyncEngine {
         }
     }
 
-    /// The epoch-sync body: rounds of flush → barrier → drain → publish →
+    /// The one sync loop: rounds of flush → barrier → drain → publish →
     /// wait → identical decision → process-window, until the cluster-wide
     /// decision says stop. Backend-independent: every synchronization
     /// primitive goes through `peers`.
@@ -796,8 +559,15 @@ impl SyncEngine {
         let mut deadlocked = false;
         let mut aborted = false;
         let mut round: u64 = 0;
+        let mut horizon: u64 = 0;
         let mut slots = vec![EpochSlot::default(); n];
         let mut nexts: Vec<u64> = Vec::with_capacity(n);
+        // Watchdog fault injection: sleep before entering round 1, so every
+        // peer parks at the round-1 barrier on us. Wall-clock only;
+        // virtual-time results are unchanged.
+        if let Some(ms) = self.stall_inject_ms.take() {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
+        }
         loop {
             round += 1;
             // Span accounting (when on) is boundary-chained: each `mark`
@@ -818,19 +588,27 @@ impl SyncEngine {
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::FrameFlush);
             }
-            peers.barrier();
+            // Entering round `round`: the registry row (barrier count =
+            // round) goes out before we park, so the watchdog can tell a
+            // peer that never reached the round from one waiting in it.
             self.barrier_waits += 1;
+            let next = self.queue_head();
+            self.publish_metrics(horizon, next);
+            self.pump_metrics(false);
+            self.note_park(true, horizon, next);
+            peers.barrier();
+            self.note_park(false, horizon, next);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::BarrierWait);
             }
-            self.drain_inbox(None);
+            self.drain_inbox();
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::InboxDrain);
             }
             // Publish this round's aggregates (in the threads backend:
             // plain field stores, then the epoch release-store that makes
             // them readable; on the wire: an explicit Slot record).
-            let next = self.events.peek().map_or(u64::MAX, |Reverse((t, ..))| *t);
+            let next = self.queue_head();
             let slot = EpochSlot {
                 next_event: next,
                 live: self.node.live() as u64,
@@ -854,11 +632,11 @@ impl SyncEngine {
                 }
                 // The parked gauge + flight mark ride the same hook: it
                 // runs once, right before the blocking path parks us.
-                self.note_park(true, round, next);
+                self.note_park(true, horizon, next);
             });
             self.profiler = profiler;
             if parked {
-                self.note_park(false, round, next);
+                self.note_park(false, horizon, next);
             }
             if let Some(p) = &mut self.profiler {
                 p.mark(if parked { SpanKind::CondvarWait } else { SpanKind::SlotSpin });
@@ -898,15 +676,13 @@ impl SyncEngine {
             // below it (module docs give the argument).
             nexts.clear();
             nexts.extend(slots.iter().map(|s| s.next_event));
-            let horizon = self.hz.horizon(me, &nexts);
+            horizon = self.hz.horizon(me, &nexts);
             if let Some(p) = &mut self.profiler {
                 p.mark(SpanKind::Decide);
                 if horizon != u64::MAX && min_next != u64::MAX {
                     p.window_ps.record(horizon - min_next);
                 }
             }
-            self.publish_metrics(horizon, next, next);
-            self.pump_metrics(false);
             while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
                 if time >= horizon {
                     break;
@@ -921,13 +697,13 @@ impl SyncEngine {
 
     /// Close the final profiling segment (the decision that broke the
     /// loop), reconcile against the independently measured thread wall
-    /// time, and package the outcome (shared by both sync modes).
+    /// time, and package the outcome.
     fn finish_outcome(mut self, deadlocked: bool, aborted: bool) -> NodeOutcome {
         // Final publish so the sampler's closing sample carries end-of-run
         // counters and whole-run mean rates come out right (the horizon
         // gauge goes to ∞: the run is over, nothing lags anything). Forced
         // past the pump's rate limit.
-        self.publish_metrics(u64::MAX, self.async_next(), self.queue_head());
+        self.publish_metrics(u64::MAX, self.queue_head());
         self.pump_metrics(true);
         let profile = self.profiler.take().map(|mut rec| {
             rec.mark(SpanKind::Decide);
@@ -947,301 +723,33 @@ impl SyncEngine {
             aborted,
             windows: self.windows,
             barrier_waits: self.barrier_waits,
-            horizon_advances: self.horizon_advances,
             recorder: self.recorder,
             profile,
         }
     }
 
-    /// This node's pending-aware `next` (async sync): the earliest local
-    /// event, clamped to the send time of the oldest record we shipped
-    /// whose receiver has not drained it yet. Publishing this — never the
-    /// bare queue head — is the send-coverage invariant (§14.4): a record
-    /// in flight is always covered by its *sender's* published `next`,
-    /// which is what keeps the snapshot horizon valid with traffic in
-    /// flight, without any global quiescence check.
-    pub(crate) fn async_next(&self) -> u64 {
-        let floor = self.unacked.iter().filter_map(|u| u.front().map(|&(_, t)| t)).min().unwrap_or(u64::MAX);
-        self.queue_head().min(floor)
-    }
-
-    /// Cumulative `SpawnThread` messages installed on this node.
-    pub(crate) fn spawns_recv(&self) -> u64 {
-        self.spawns_recv
-    }
-
-    /// Bare earliest queued event — the node's *executable* demand, as
-    /// opposed to the coverage-clamped [`Self::async_next`]. Published as
-    /// `qnext` so peers can tell "parked on a runnable event" from
-    /// "floor merely pinned by an un-drained send".
-    pub(crate) fn queue_head(&self) -> u64 {
+    /// Earliest queued event (`u64::MAX` if idle) — the node's published
+    /// `next`.
+    fn queue_head(&self) -> u64 {
         self.events.peek().map_or(u64::MAX, |Reverse((t, ..))| *t)
-    }
-
-    /// Drop receiver-acknowledged records from the send-coverage floor.
-    /// Channels are FIFO per pair, so the receiver's drain count
-    /// identifies exactly the prefix of `unacked` whose coverage has
-    /// passed to the receiver's published `next`.
-    fn prune_acked(&mut self) {
-        let Some(asy) = &self.asy else {
-            return;
-        };
-        let me = self.endpoint.id as usize;
-        let n = self.n_nodes;
-        for dst in 0..n {
-            if self.unacked[dst].is_empty() {
-                continue;
-            }
-            let a = asy.acked[me * n + dst].load(Ordering::SeqCst);
-            while self.unacked[dst].front().is_some_and(|&(c, _)| c <= a) {
-                self.unacked[dst].pop_front();
-            }
-        }
     }
 
     /// Drain inbound frames into the local queue, deterministically:
     /// arrival interleaving across senders is scheduler noise, so sort by
     /// the virtual-time key before assigning local sequence numbers.
     /// Records decode in place from the frame buffers (which return to
-    /// their senders' pools). Under async sync `chan` holds the per-peer
-    /// channel clocks, which every record advances — a data record's
-    /// delivery time is itself a promise (per-link deliveries are strictly
-    /// increasing), a null record carries one explicitly; epoch sync
-    /// (`None`) never ships nulls. Returns the number of data records
-    /// drained (null promises are not counted — a drain that only moved
-    /// promises leaves no observable trace in the termination-detection
-    /// state).
-    fn drain_inbox(&mut self, mut chan: Option<&mut [u64]>) -> u64 {
+    /// their senders' pools).
+    fn drain_inbox(&mut self) {
         let mut batch = std::mem::take(&mut self.drain_scratch);
-        let mut records = 0u64;
-        self.endpoint.drain_frames_with_nulls(
-            &mut |src, _kind, deliver_ps, step_ps, seq, payload| {
-                let msg = Msg::decode_from(&mut Reader::new(payload)).expect("wire codec round-trip");
-                batch.push((deliver_ps, step_ps, src, seq, msg));
-                records += 1;
-            },
-            &mut |src, promise| {
-                let c = &mut chan.as_deref_mut().expect("null record under epoch sync")[src as usize];
-                *c = (*c).max(promise);
-            },
-        );
-        let coverage = self.asy.is_some();
-        for &(deliver, _, src, _, _) in batch.iter() {
-            if let Some(chan) = chan.as_deref_mut() {
-                chan[src as usize] = chan[src as usize].max(deliver);
-            }
-            if coverage {
-                self.ack_scratch[src as usize] += 1;
-            }
-        }
+        self.endpoint.drain_frames(&mut |src, _kind, deliver_ps, step_ps, seq, payload| {
+            let msg = Msg::decode_from(&mut Reader::new(payload)).expect("wire codec round-trip");
+            batch.push((deliver_ps, step_ps, src, seq, msg));
+        });
         batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
         for (deliver, step, src, _, msg) in batch.drain(..) {
             self.push(deliver, step, src, NodeEv::Deliver { src, msg });
         }
         self.drain_scratch = batch;
-        if records > 0 {
-            if let Some(asy) = self.asy.clone() {
-                // Accounting order is load-bearing for §14.4: republish our
-                // `next` (now covering the drained events) *before*
-                // crediting the per-pair ack cells — a sender that prunes
-                // its coverage floor must already see the handoff in our
-                // published slot. (Without shared slots — the sockets
-                // backend — the per-channel promise discipline alone
-                // carries coverage, DESIGN.md §16.3.)
-                let me = self.endpoint.id as usize;
-                let n = self.n_nodes;
-                let next = self.async_next();
-                let qhead = self.queue_head();
-                asy.slots[me].next.store(next, Ordering::SeqCst);
-                asy.slots[me].qnext.store(qhead, Ordering::SeqCst);
-                asy.msgs_recv.fetch_add(records, Ordering::SeqCst);
-                for src in 0..n {
-                    let k = std::mem::replace(&mut self.ack_scratch[src], 0);
-                    if k == 0 {
-                        continue;
-                    }
-                    asy.acked[src * n + me].fetch_add(k, Ordering::SeqCst);
-                    // Doorbell: the sender's published `next` may be pinned
-                    // at these records' send times, capping every horizon in
-                    // the cluster. If it is parked it cannot prune by itself
-                    // — wake it (value 0 is a no-op promise, pure wakeup).
-                    if asy.slots[src].parked.load(Ordering::SeqCst) {
-                        self.endpoint.push_null(src as NodeId, 0);
-                    }
-                }
-            }
-        }
-        records
-    }
-
-    /// Ship a null promise to every peer the [`AsyncPeers::wants_null`]
-    /// policy asks for. The promise is `min(pending-aware next, input
-    /// horizon) + lookahead`: a bound on the delivery time of anything we
-    /// may still send — future sends are triggered either by a queued
-    /// event (≥ `next`), by an in-flight record of ours (≥ its send time,
-    /// the `async_next` floor), or by a future arrival (≥ the input
-    /// horizon), and cost at least our base latency in flight. Only strict
-    /// increases ship: a promise never retracts, and per-pair FIFO keeps it
-    /// sound with records in flight (a promise written after a data record
-    /// can only be read after it).
-    fn refresh_promises(&mut self, peers: &dyn AsyncPeers, horizon: u64) {
-        let me = self.endpoint.id as usize;
-        let promise = self.async_next().min(horizon).saturating_add(self.hz.base_ps[me]);
-        for dst in 0..self.n_nodes {
-            let sent = self.promised[dst];
-            if dst == me || promise <= sent || !peers.wants_null(dst, sent, promise) {
-                continue;
-            }
-            self.endpoint.push_null(dst as NodeId, promise);
-            self.promised[dst] = promise;
-        }
-    }
-
-    /// Poke every peer with a (possibly repeated) null so that anyone
-    /// parked on the inbound channel wakes immediately — owed by the node
-    /// that wins the termination race, since balanced-mode suppression
-    /// means nobody else may be about to send them anything.
-    pub(crate) fn wake_peers(&mut self) {
-        let me = self.endpoint.id as usize;
-        for (dst, &sent) in self.promised.iter().enumerate() {
-            if dst != me {
-                self.endpoint.push_null(dst as NodeId, sent);
-            }
-        }
-    }
-
-    /// The barrier-free body under `--sync async` (DESIGN.md §14, §16.3):
-    /// no barrier, no rounds. Each iteration drains whatever has arrived,
-    /// advances the safe horizon, executes the burst of events strictly
-    /// below it, publishes, ships pending frames plus null promises, and
-    /// parks on the inbound channel only when it has nothing left to do.
-    /// Everything that depends on whether peers share memory goes through
-    /// `peers`.
-    pub fn run_async(mut self, peers: &mut dyn AsyncPeers) -> NodeOutcome {
-        let me = self.endpoint.id as usize;
-        let n = self.n_nodes;
-        // chan[p] = channel clock for peer p: no future record from p can
-        // deliver below it. Own entry pinned at ∞ so `min` skips it (and a
-        // single node runs one unbounded window).
-        let mut chan = vec![0u64; n];
-        chan[me] = u64::MAX;
-        let mut horizon = 0u64;
-        let outcome;
-        // Watchdog fault injection: sleep with our initial state (next = 0)
-        // still published — every peer's horizon pins on our promise until
-        // we wake. Wall-clock only; virtual-time results are unchanged.
-        if let Some(ms) = self.stall_inject_ms.take() {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        loop {
-            peers.open_burst(me);
-            let drained = self.drain_inbox(Some(&mut chan));
-            self.prune_acked();
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::InboxDrain);
-            }
-            // Channel clocks are safe on their own (data deliveries and
-            // promises); a published snapshot lets a straggler climb
-            // through its own windows without a null round-trip. Either
-            // can briefly exceed the other (a data delivery outruns its
-            // sender's republished `next`), so take the max of both.
-            let h = chan.iter().copied().min().unwrap_or(u64::MAX).max(peers.snapshot_horizon(&self));
-            if h > horizon {
-                self.horizon_advances += 1;
-                if let Some(p) = &mut self.profiler {
-                    if h != u64::MAX {
-                        p.window_ps.record(h - horizon);
-                    }
-                }
-                self.fly(FlightTag::HorizonClimb, h, horizon);
-                horizon = h;
-            }
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Decide);
-            }
-            let mut burst = 0u64;
-            while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
-                if time >= horizon {
-                    break;
-                }
-                self.events.pop();
-                self.process_one(time, idx);
-                burst += 1;
-                // A long burst must not starve peers whose horizon hangs
-                // on our promise (the skew scenario): refresh periodically
-                // as `next` climbs, not just at burst end.
-                if burst.is_multiple_of(256) {
-                    self.refresh_promises(peers, horizon);
-                }
-            }
-            if burst > 0 {
-                self.windows += 1;
-            }
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Execute);
-            }
-            peers.publish_burst(&mut self, drained, burst, horizon);
-            // The pump rate-limits itself, so calling it on quiet
-            // iterations too keeps samples flowing while we idle-park.
-            self.pump_metrics(false);
-            self.refresh_promises(peers, horizon);
-            // Flush *before* polling termination: a progress report must
-            // ride the stream behind every record it accounts for.
-            self.endpoint.flush();
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::FrameFlush);
-            }
-            match peers.poll(&mut self, horizon) {
-                AsyncPoll::Done(o) => {
-                    outcome = o;
-                    break;
-                }
-                AsyncPoll::Again => continue,
-                AsyncPoll::Idle => {}
-            }
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::Decide);
-            }
-            // A burst that raised our published `next` usually raises the
-            // snapshot horizon with it (the self-echo term): peek before
-            // parking and spin straight into the next window if it moved —
-            // the self-serve climb that replaces a null round-trip per
-            // window with a handful of atomic loads.
-            if peers.snapshot_horizon(&self) > horizon {
-                continue;
-            }
-            // Idle: park on the inbound channel until a peer's data or
-            // promise (or the outcome, within the timeout) moves us. The
-            // registry's gauges refresh right before parking so the
-            // watchdog judges the park against current values (quiet
-            // iterations skip the burst publish but may have climbed the
-            // horizon through nulls).
-            let qhead = self.queue_head();
-            self.publish_metrics(horizon, self.async_next(), qhead);
-            self.note_park(true, horizon, qhead);
-            peers.set_parked(me, true);
-            self.endpoint.wait_inbound(std::time::Duration::from_millis(1));
-            peers.set_parked(me, false);
-            self.note_park(false, horizon, qhead);
-            if let Some(p) = &mut self.profiler {
-                p.mark(SpanKind::HorizonWait);
-            }
-        }
-        // Two-phase shutdown: ship anything still pending, rendezvous, then
-        // drain leftovers so receive accounting matches the sim (which
-        // records both ends at send time). The drained events are dropped
-        // unprocessed — exactly the events the sim discards after its
-        // termination condition trips.
-        self.fly(FlightTag::Decide, outcome, 0);
-        self.endpoint.flush();
-        peers.flush_rendezvous();
-        self.drain_inbox(Some(&mut chan));
-        self.fly(
-            FlightTag::FlushRendezvous,
-            self.endpoint.frame_stats.frames_sent,
-            self.endpoint.frame_stats.msgs_framed,
-        );
-        self.finish_outcome(outcome == async_done::DEADLOCK, outcome == async_done::ABORT)
     }
 }
 

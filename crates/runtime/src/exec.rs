@@ -352,7 +352,6 @@ impl Cluster {
             reg.set(id, Metric::LiveThreads, node.live() as u64);
             reg.set(id, Metric::HorizonPs, now);
             reg.set(id, Metric::NextEventPs, now);
-            reg.set(id, Metric::QueueHeadPs, now);
             if let Some(st) = self.net.stats.get(i) {
                 reg.set(id, Metric::NetMsgsSent, st.msgs_sent);
                 reg.set(id, Metric::NetBytesSent, st.bytes_sent);

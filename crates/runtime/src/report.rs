@@ -28,13 +28,6 @@ pub struct SyncStats {
     pub frame_bytes: u64,
     /// Messages carried inside frames across all nodes.
     pub msgs_framed: u64,
-    /// Standalone null-message promises shipped (async sync mode).
-    pub nulls_sent: u64,
-    /// Null promises that rode along in a data frame (async sync mode).
-    pub nulls_piggybacked: u64,
-    /// Times a node's safe horizon strictly advanced (async sync mode) —
-    /// the async analogue of `windows`.
-    pub horizon_advances: u64,
 }
 
 impl SyncStats {
@@ -263,25 +256,15 @@ impl RunReport {
                 self.sync.msgs_batched(),
                 self.sync.bytes_per_frame_avg(),
             );
-            if self.sync.horizon_advances > 0 {
-                let _ = writeln!(
-                    s,
-                    "async: {} horizon advances, {} nulls sent, {} nulls piggybacked",
-                    self.sync.horizon_advances,
-                    self.sync.nulls_sent,
-                    self.sync.nulls_piggybacked,
-                );
-            }
         }
         if let Some(wall) = &self.wall {
             let _ = writeln!(
                 s,
-                "{:>4} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}",
+                "{:>4} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9}",
                 "node",
                 "wall ms",
                 "exec%",
                 "barr%",
-                "hrzn%",
                 "spin%",
                 "cv%",
                 "inbox%",
@@ -294,19 +277,15 @@ impl RunReport {
             for n in &wall.nodes {
                 let tot = n.accounted_ns().max(1) as f64;
                 let pct = |k: SpanKind| 100.0 * n.stats_of(k).total_ns as f64 / tot;
-                // Wait percentiles: barrier waits under epoch sync, horizon
-                // waits under async (exactly one of the two is populated).
-                let bw = n.stats_of(SpanKind::BarrierWait);
-                let wait = if bw.count > 0 { bw } else { n.stats_of(SpanKind::HorizonWait) };
+                let wait = n.stats_of(SpanKind::BarrierWait);
                 let us = |ns: u64| format!("{:.1}us", ns as f64 / 1_000.0);
                 let _ = writeln!(
                     s,
-                    "{:>4} {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9} {:>9} {:>9}",
+                    "{:>4} {:>9.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>9} {:>9} {:>9}",
                     n.node,
                     n.wall_ns as f64 / 1e6,
                     pct(SpanKind::Execute),
                     pct(SpanKind::BarrierWait),
-                    pct(SpanKind::HorizonWait),
                     pct(SpanKind::SlotSpin),
                     pct(SpanKind::CondvarWait),
                     pct(SpanKind::InboxDrain),

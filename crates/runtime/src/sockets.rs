@@ -21,17 +21,9 @@
 //!   per-stream FIFO again delivers those frames to each worker *before*
 //!   its `BarrierAck`. A worker that returns from the barrier therefore
 //!   holds everything its peers sent in the window, exactly the guarantee
-//!   the shared-memory barrier gave (DESIGN.md §16.2).
-//! * the async mode runs the engine's one async loop
-//!   ([`SyncEngine::run_async`]) over pure per-channel Chandy–Misra–Bryant
-//!   promises ([`AsyncPeers`] on the coordinator link); the in-process
-//!   mode's shared send-coverage counters have no wire analogue, so
-//!   *the coordinator* owns termination: it counts the non-null records it
-//!   relays toward each worker ([`jsplit_net::transport::frame_data_records`]) and
-//!   declares the run over when every worker is idle (`qhead == MAX`) and
-//!   has drained exactly what was relayed to it — a report rides each
-//!   worker's stream *behind* every record it accounts for, so the count
-//!   comparison can never observe false quiescence (DESIGN.md §16.3).
+//!   the shared-memory barrier gave (DESIGN.md §16.2). Termination is the
+//!   same identical-decision rule every node derives from the round's
+//!   `Slots`, so the coordinator never decides anything itself.
 //!
 //! Handshake: a worker dials in (bounded retry with exponential backoff)
 //! and sends `Hello { magic, version, node_id, config_hash }`; the
@@ -61,9 +53,9 @@
 //! `tests/sockets.rs`).
 
 use crate::balance::{Balancer, BalancerState};
-use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SocketsConfig, SyncMode};
+use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SocketsConfig};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{async_done, AsyncPeers, AsyncPoll, EpochPeers, EpochSlot, Horizons, SyncEngine};
+use crate::engine::{EpochPeers, EpochSlot, Horizons, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::{RunReport, SyncStats};
@@ -78,7 +70,7 @@ use jsplit_net::tcp::{
     self, Envelope, HandshakeExpect, SlotWire, TcpFrameLink, ANY_NODE, MAGIC, VERSION, WF_FLIGHT,
     WF_OBJPROF,
 };
-use jsplit_net::transport::{frame_data_records, FrameStats};
+use jsplit_net::transport::FrameStats;
 use jsplit_net::{ChannelEndpoint, Frame, NetStats, NodeId, SoloSetup};
 use jsplit_trace::{FlightRecorder, MetricsRegistry, ObjProfile, ALL_METRICS, METRICS};
 use std::collections::HashMap;
@@ -137,10 +129,6 @@ fn encode_wire_config(cfg: &ClusterConfig) -> Vec<u8> {
             w.u8(1).u32(c);
         }
     }
-    w.u8(match cfg.sync {
-        SyncMode::Epoch => 0,
-        SyncMode::Async => 1,
-    });
     w.u8(cfg.classic_interp as u8);
     w.into_inner()
 }
@@ -187,11 +175,6 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         0 => None,
         _ => Some(r.u32()?),
     };
-    let sync = match r.u8()? {
-        0 => SyncMode::Epoch,
-        1 => SyncMode::Async,
-        _ => return Err(CodecError("bad sync byte")),
-    };
     let classic_interp = r.u8()? != 0;
     if r.remaining() != 0 {
         return Err(CodecError("trailing bytes after config"));
@@ -210,7 +193,6 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         trace: None,
         profile: false,
         backend: Backend::Sockets,
-        sync,
         metrics: None,
         sockets: SocketsConfig::default(),
         classic_interp,
@@ -241,7 +223,6 @@ struct WorkerReport {
     slab_high_water: u64,
     windows: u64,
     barrier_waits: u64,
-    horizon_advances: u64,
     setup_ps: u64,
     net: NetStats,
     dsm: Option<DsmStats>,
@@ -391,7 +372,6 @@ fn encode_worker_report(rep: &WorkerReport) -> Vec<u8> {
         .u64(rep.slab_high_water)
         .u64(rep.windows)
         .u64(rep.barrier_waits)
-        .u64(rep.horizon_advances)
         .u64(rep.setup_ps);
     encode_net_stats(&mut w, &rep.net);
     match &rep.dsm {
@@ -403,11 +383,7 @@ fn encode_worker_report(rep: &WorkerReport) -> Vec<u8> {
             encode_dsm_stats(&mut w, d);
         }
     }
-    w.u64(rep.frames.frames_sent)
-        .u64(rep.frames.frame_bytes)
-        .u64(rep.frames.msgs_framed)
-        .u64(rep.frames.nulls_sent)
-        .u64(rep.frames.nulls_piggybacked);
+    w.u64(rep.frames.frames_sent).u64(rep.frames.frame_bytes).u64(rep.frames.msgs_framed);
     w.str(&rep.flight);
     // The profile goes last: its codec is self-delimiting raw bytes, which
     // the decoder reads straight off the remaining slice.
@@ -446,7 +422,6 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
     let slab_high_water = r.u64()?;
     let windows = r.u64()?;
     let barrier_waits = r.u64()?;
-    let horizon_advances = r.u64()?;
     let setup_ps = r.u64()?;
     let net = decode_net_stats(&mut r)?;
     let dsm = match r.u8()? {
@@ -457,8 +432,6 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
         frames_sent: r.u64()?,
         frame_bytes: r.u64()?,
         msgs_framed: r.u64()?,
-        nulls_sent: r.u64()?,
-        nulls_piggybacked: r.u64()?,
     };
     let flight = r.str()?;
     let objprof = match r.u8()? {
@@ -479,7 +452,6 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
         slab_high_water,
         windows,
         barrier_waits,
-        horizon_advances,
         setup_ps,
         net,
         dsm,
@@ -496,8 +468,7 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
 /// The worker's view of its peers: one socket to the coordinator (writes
 /// go out directly; the ingress pump routes inbound `Data` into the
 /// endpoint's frame channel and everything else into `ctrl`). Implements
-/// both engine seams — [`EpochPeers`] as envelope round-trips, and
-/// [`AsyncPeers`] for the coordinator-terminated async mode. Connection
+/// the engine seam, [`EpochPeers`], as envelope round-trips. Connection
 /// loss panics, matching [`TcpFrameLink`]: a worker without its
 /// coordinator has no recovery path, and the process exit *is* the error
 /// signal the coordinator acts on.
@@ -510,12 +481,6 @@ struct WirePeerLink {
     round: u64,
     /// Peer slots from the last `Slots` broadcast, held for `read`.
     slots: Vec<SlotWire>,
-    /// Async mode: data records drained so far, and the last `State`
-    /// report `(qhead, drained, live, ops)` with the op count it went out
-    /// at.
-    drained: u64,
-    last_state: Option<(u64, u64, u64, u64)>,
-    ops_at_state: u64,
 }
 
 impl WirePeerLink {
@@ -530,16 +495,6 @@ impl WirePeerLink {
             Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
             Err(_) => panic!("worker {}: ingress pump exited", self.me),
         }
-    }
-
-    /// Progress report for the coordinator's termination scan. Sent only
-    /// after the flush that precedes it, so it rides the stream *behind*
-    /// every record it accounts for.
-    fn send_state(&mut self, st: (u64, u64, u64, u64)) {
-        let (qhead, drained, live, ops) = st;
-        self.send(&Envelope::State { qhead, drained, live, ops });
-        self.last_state = Some(st);
-        self.ops_at_state = ops;
     }
 }
 
@@ -593,71 +548,6 @@ impl EpochPeers for WirePeerLink {
                 spawns_recv: s[3],
                 ops: s[4],
             };
-        }
-    }
-}
-
-impl AsyncPeers for WirePeerLink {
-    /// No shared snapshot exists: the per-channel clocks alone carry the
-    /// horizon.
-    fn snapshot_horizon(&mut self, _eng: &SyncEngine) -> u64 {
-        0
-    }
-
-    /// With no snapshot to self-serve from, promises are the *only* way a
-    /// peer's channel clock advances — so every strict increase ships to
-    /// every peer, unconditionally (classic eager Chandy–Misra–Bryant).
-    fn wants_null(&self, _dst: usize, _sent: u64, _promise: u64) -> bool {
-        true
-    }
-
-    fn publish_burst(&mut self, eng: &mut SyncEngine, drained: u64, burst: u64, horizon: u64) {
-        self.drained += drained;
-        if burst > 0 {
-            eng.publish_metrics(horizon, eng.async_next(), eng.queue_head());
-        }
-    }
-
-    /// The coordinator decides termination from the workers' `State`
-    /// reports; its `Done` doorbell lands in our inbound channel via the
-    /// ingress pump, so a parked engine always wakes for it.
-    fn poll(&mut self, eng: &mut SyncEngine, horizon: u64) -> AsyncPoll {
-        match self.ctrl.try_recv() {
-            Ok(Ok(Envelope::Done { outcome })) => return AsyncPoll::Done(outcome as u64),
-            Ok(Ok(other)) => panic!("worker {}: unexpected {other:?} before Done", self.me),
-            Ok(Err(e)) => panic!("worker {}: coordinator connection lost: {e}", self.me),
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => panic!("worker {}: ingress pump exited", self.me),
-        }
-        /// Retired-op quantum between busy-path state reports: the only
-        /// thing they feed is the coordinator's `max_ops` abort scan, so
-        /// window granularity is enough (the threads backend is no finer).
-        const OPS_QUANTUM: u64 = 1 << 20;
-        let st = (eng.queue_head(), self.drained, eng.node.live() as u64, eng.node.ops);
-        if st.0 < horizon {
-            // Still busy. Feed the abort scan on a coarse quantum so a
-            // runaway burst sequence is still caught.
-            if st.3 - self.ops_at_state >= OPS_QUANTUM {
-                self.send_state(st);
-            }
-            return AsyncPoll::Again;
-        }
-        // Idle: report on change, then park.
-        if self.last_state != Some(st) {
-            self.send_state(st);
-        }
-        AsyncPoll::Idle
-    }
-
-    fn flush_rendezvous(&mut self) {
-        self.send(&Envelope::Flushed);
-        // `Shutdown` is broadcast only after all n `Flushed` reports were
-        // dequeued, and each worker's leftover frames precede its
-        // `Flushed` — so per-stream FIFO puts every peer's leftovers in
-        // our channel before this returns.
-        match self.recv_ctrl() {
-            Envelope::Shutdown => {}
-            other => panic!("worker {}: expected Shutdown, got {other:?}", self.me),
         }
     }
 }
@@ -852,8 +742,7 @@ fn run_worker_body(
 
     // Endpoint plumbing: the engine writes the socket directly (TcpFrameLink),
     // the ingress pump feeds decoded Data frames into `frame_rx` and
-    // control envelopes into `ctrl` — with an empty-frame doorbell so an
-    // engine parked in `wait_inbound` wakes for control traffic too.
+    // control envelopes into `ctrl`.
     let (frame_tx, frame_rx) = mpsc::channel::<Frame>();
     let (pool_tx, pool_rx) = mpsc::channel::<Vec<u8>>();
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<io::Result<Envelope>>();
@@ -869,16 +758,12 @@ fn run_worker_body(
                 }
             }
             Ok(env) => {
-                let stop = matches!(env, Envelope::Shutdown);
-                let _ = ctrl_tx.send(Ok(env));
-                let _ = frame_tx.send(Frame { src: me, buf: Vec::new() });
-                if stop {
+                if ctrl_tx.send(Ok(env)).is_err() {
                     return;
                 }
             }
             Err(e) => {
                 let _ = ctrl_tx.send(Err(e));
-                let _ = frame_tx.send(Frame { src: me, buf: Vec::new() });
                 return;
             }
         }
@@ -956,14 +841,8 @@ fn run_worker_body(
         me,
         round: 0,
         slots: vec![[0; 5]; n],
-        drained: 0,
-        last_state: None,
-        ops_at_state: 0,
     };
-    let mut outcome = match config.sync {
-        SyncMode::Epoch => eng.run_epoch(&mut link),
-        SyncMode::Async => eng.run_async(&mut link),
-    };
+    let mut outcome = eng.run_epoch(&mut link);
 
     let console = if me == CONSOLE_NODE { outcome.node.take_console() } else { Vec::new() };
     let rep = WorkerReport {
@@ -977,7 +856,6 @@ fn run_worker_body(
         slab_high_water: outcome.slab_high_water,
         windows: outcome.windows,
         barrier_waits: outcome.barrier_waits,
-        horizon_advances: outcome.horizon_advances,
         setup_ps,
         net: outcome.endpoint.stats.clone(),
         dsm: outcome.node.dsm_stats(),
@@ -996,9 +874,8 @@ fn run_worker_body(
 
 /// The multi-process backend's coordinator: binds a listener, (optionally)
 /// fork/execs one worker per node, handshakes them in, then acts as the
-/// cluster's star switch — relaying data frames, sequencing epoch rounds,
-/// and (async mode) deciding termination — until every worker has filed
-/// its [`WorkerReport`].
+/// cluster's star switch — relaying data frames and sequencing epoch
+/// rounds — until every worker has filed its [`WorkerReport`].
 pub struct SocketsDriver {
     config: ClusterConfig,
     prepared: Prepared,
@@ -1220,8 +1097,8 @@ impl SocketsDriver {
         // One reader thread per worker feeds a single sequencing queue;
         // this main thread does every write. Per-producer mpsc FIFO is the
         // ordering backbone: a worker's Data is dequeued before its
-        // Barrier/Slot/State/Flushed, so every broadcast below happens
-        // after the frames it logically follows have been relayed.
+        // Barrier/Slot, so every broadcast below happens after the frames
+        // it logically follows have been relayed.
         let (tx, rx) = mpsc::channel::<(u16, io::Result<Envelope>)>();
         for (id, s) in streams.iter().enumerate() {
             let mut rs = s
@@ -1246,12 +1123,8 @@ impl SocketsDriver {
         }
         drop(tx);
 
-        let mut fwd_to = vec![0u64; n];
         let mut barrier_pending: HashMap<u64, u16> = HashMap::new();
         let mut slot_pending: HashMap<u64, (u16, Vec<SlotWire>)> = HashMap::new();
-        let mut states: Vec<Option<(u64, u64, u64, u64)>> = vec![None; n];
-        let mut done_sent = false;
-        let mut flushed = 0usize;
         let mut report_blobs: Vec<Option<Vec<u8>>> = vec![None; n];
         let mut reports_in = 0usize;
         let werr = |id: u16, e: io::Error| {
@@ -1280,7 +1153,6 @@ impl SocketsDriver {
                             "sockets coordinator: worker {from} addressed nonexistent node {dst}"
                         )));
                     }
-                    fwd_to[d] += frame_data_records(&frame);
                     tcp::write_data(&mut streams[d], src, dst, &frame).map_err(|e| werr(dst, e))?;
                 }
                 Envelope::Barrier { round } => {
@@ -1303,29 +1175,6 @@ impl SocketsDriver {
                         for (id, s) in streams.iter_mut().enumerate() {
                             tcp::write_envelope(s, &Envelope::Slots { round, slots: slots.clone() })
                                 .map_err(|e| werr(id as u16, e))?;
-                        }
-                    }
-                }
-                Envelope::State { qhead, drained, live, ops } => {
-                    states[from as usize] = Some((qhead, drained, live, ops));
-                    if !done_sent {
-                        if let Some(outcome) = decide_async(&states, &fwd_to, self.config.max_ops) {
-                            done_sent = true;
-                            for (id, s) in streams.iter_mut().enumerate() {
-                                tcp::write_envelope(s, &Envelope::Done { outcome: outcome as u8 })
-                                    .map_err(|e| werr(id as u16, e))?;
-                            }
-                        }
-                    }
-                }
-                Envelope::Flushed => {
-                    flushed += 1;
-                    if flushed == n {
-                        // All leftovers are relayed (each worker's frames
-                        // precede its Flushed); Shutdown lands behind them
-                        // on every stream.
-                        for (id, s) in streams.iter_mut().enumerate() {
-                            tcp::write_envelope(s, &Envelope::Shutdown).map_err(|e| werr(id as u16, e))?;
                         }
                     }
                 }
@@ -1429,17 +1278,11 @@ impl SocketsDriver {
             jsplit_trace::build_report(&profiles)
         });
         let sync = SyncStats {
-            windows: match self.config.sync {
-                SyncMode::Epoch => reports[0].windows,
-                SyncMode::Async => reports.iter().map(|r| r.windows).sum(),
-            },
+            windows: reports[0].windows,
             barrier_waits: reports.iter().map(|r| r.barrier_waits).sum(),
             frames_sent: reports.iter().map(|r| r.frames.frames_sent).sum(),
             frame_bytes: reports.iter().map(|r| r.frames.frame_bytes).sum(),
             msgs_framed: reports.iter().map(|r| r.frames.msgs_framed).sum(),
-            nulls_sent: reports.iter().map(|r| r.frames.nulls_sent).sum(),
-            nulls_piggybacked: reports.iter().map(|r| r.frames.nulls_piggybacked).sum(),
-            horizon_advances: reports.iter().map(|r| r.horizon_advances).sum(),
         };
         RunReport {
             exec_time_ps: reports.iter().map(|r| r.finish_time).max().unwrap_or(0),
@@ -1469,30 +1312,6 @@ impl SocketsDriver {
     }
 }
 
-/// The async-mode termination scan (DESIGN.md §16.3), evaluated on every
-/// `State` arrival: FINISH/DEADLOCK when every worker has reported, is
-/// idle (`qhead == MAX`) and has drained exactly what was relayed toward
-/// it; ABORT as soon as the cluster-wide retired-op count (over the states
-/// present so far) exceeds the budget. Re-evaluating only on `State`
-/// arrivals is sufficient: `fwd_to` changes only when data is relayed, and
-/// a worker that drains new data always re-reports (its `drained` tuple
-/// component changed).
-fn decide_async(states: &[Option<(u64, u64, u64, u64)>], fwd_to: &[u64], max_ops: u64) -> Option<u64> {
-    let ops: u64 = states.iter().flatten().map(|s| s.3).sum();
-    if ops > max_ops {
-        return Some(async_done::ABORT);
-    }
-    let mut live = 0u64;
-    for (w, st) in states.iter().enumerate() {
-        let &(qhead, drained, l, _) = st.as_ref()?;
-        if qhead != u64::MAX || drained != fwd_to[w] {
-            return None;
-        }
-        live += l;
-    }
-    Some(if live == 0 { async_done::FINISH } else { async_done::DEADLOCK })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1507,7 +1326,6 @@ mod tests {
         cfg.max_ops = 9_999;
         cfg.disable_local_locks = true;
         cfg.array_chunk = Some(64);
-        cfg.sync = SyncMode::Async;
         let blob = encode_wire_config(&cfg);
         let got = decode_wire_config(&blob).unwrap();
         assert_eq!(got.mode, cfg.mode);
@@ -1519,7 +1337,6 @@ mod tests {
         assert_eq!(got.max_ops, cfg.max_ops);
         assert_eq!(got.disable_local_locks, cfg.disable_local_locks);
         assert_eq!(got.array_chunk, cfg.array_chunk);
-        assert_eq!(got.sync, cfg.sync);
         assert_eq!(got.backend, Backend::Sockets);
         assert!(got.trace.is_none() && !got.profile && got.metrics.is_none());
         // Deployment-side observers stay out of the hashed wire config.
@@ -1570,17 +1387,10 @@ mod tests {
             slab_high_water: 64,
             windows: 17,
             barrier_waits: 5,
-            horizon_advances: 31,
             setup_ps: 555,
             net,
             dsm: Some(dsm),
-            frames: FrameStats {
-                frames_sent: 10,
-                frame_bytes: 2000,
-                msgs_framed: 30,
-                nulls_sent: 4,
-                nulls_piggybacked: 2,
-            },
+            frames: FrameStats { frames_sent: 10, frame_bytes: 2000, msgs_framed: 30 },
             flight: "t+0.1ms decide outcome=1".into(),
             objprof: Some({
                 let mut p = ObjProfile::new();
@@ -1604,34 +1414,5 @@ mod tests {
         };
         let got2 = decode_worker_report(&encode_worker_report(&rep2)).unwrap();
         assert_eq!(got2, rep2);
-    }
-
-    #[test]
-    fn async_decision_requires_full_quiescence() {
-        let m = u64::MAX;
-        // Missing state: no decision.
-        assert_eq!(decide_async(&[Some((m, 0, 0, 1)), None], &[0, 0], u64::MAX), None);
-        // Busy worker: no decision.
-        assert_eq!(
-            decide_async(&[Some((5, 0, 0, 1)), Some((m, 0, 0, 1))], &[0, 0], u64::MAX),
-            None
-        );
-        // Undrained relay: no decision.
-        assert_eq!(
-            decide_async(&[Some((m, 2, 0, 1)), Some((m, 0, 0, 1))], &[3, 0], u64::MAX),
-            None
-        );
-        // All idle and drained, no live threads: finish.
-        assert_eq!(
-            decide_async(&[Some((m, 2, 0, 1)), Some((m, 1, 0, 1))], &[2, 1], u64::MAX),
-            Some(async_done::FINISH)
-        );
-        // Same but a live (blocked) thread somewhere: deadlock.
-        assert_eq!(
-            decide_async(&[Some((m, 2, 1, 1)), Some((m, 1, 0, 1))], &[2, 1], u64::MAX),
-            Some(async_done::DEADLOCK)
-        );
-        // Op budget blown: abort, even with states missing.
-        assert_eq!(decide_async(&[Some((5, 0, 0, 100)), None], &[0, 0], 99), Some(async_done::ABORT));
     }
 }

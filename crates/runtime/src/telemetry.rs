@@ -25,14 +25,18 @@
 //! peer's published promise is the binding term. A node counts as
 //! *stalled* when, for a full budget window, (1) its horizon and retired
 //! ops have not changed, (2) it has runnable work at or above the horizon
-//! (`queue_head < ∞` and `horizon ≤ queue_head`), and (3) it was observed
+//! (`next_event < ∞` and `horizon ≤ next_event`), and (3) it was observed
 //! parked at least once — a runnable-but-descheduled thread on an
 //! oversubscribed host fails (3) and never false-positives. The *blamed*
 //! peer is the argmin of `next_i + base_i` over peers, i.e. exactly the
-//! term pinning the horizon; following blamed→blamed while each link is
-//! itself horizon-frozen yields the waits-for chain. The watchdog
-//! diagnoses (prints the chain and the flight-recorder timeline) and
-//! records a [`StallReport`]; it never kills the run.
+//! term pinning the horizon — unless some peer has not yet entered the
+//! epoch round the stalled node is parked in (its published barrier count
+//! is lower): the round's barrier and slot wait are blocked on exactly
+//! those laggards, so blame goes to the laggard with the smallest promise
+//! (DESIGN.md §15.3). Following blamed→blamed while each link is itself
+//! horizon-frozen yields the waits-for chain. The watchdog diagnoses
+//! (prints the chain and the flight-recorder timeline) and records a
+//! [`StallReport`]; it never kills the run.
 
 use crate::config::MetricsConfig;
 use jsplit_net::NodeId;
@@ -79,12 +83,16 @@ impl Watchdog {
         Watchdog { spec, states: Vec::new() }
     }
 
-    /// The peer whose published promise `next_i + base_i` is the minimum —
-    /// the binding term of `node`'s horizon (ties break to the lowest id).
+    /// The peer `node` waits on, with its promise `next_i + base_i`: the
+    /// minimum-promise peer among those that have not entered `node`'s
+    /// epoch round, or — when every peer has — among all peers, i.e. the
+    /// binding term of `node`'s horizon (ties break to the lowest id).
     fn blame(&self, snap: &[[u64; METRICS]], node: usize) -> (usize, u64) {
+        let round = |i: usize| snap[i][Metric::BarrierWaits.index()];
+        let laggards = (0..snap.len()).any(|i| round(i) < round(node));
         let mut best = (node, u64::MAX);
         for (i, row) in snap.iter().enumerate() {
-            if i == node {
+            if i == node || (laggards && round(i) >= round(node)) {
                 continue;
             }
             let term = row[Metric::NextEventPs.index()]
@@ -122,7 +130,7 @@ impl Watchdog {
                 continue;
             }
             st.parked_seen |= row[Metric::Parked.index()] == 1;
-            let qnext = row[Metric::QueueHeadPs.index()];
+            let qnext = row[Metric::NextEventPs.index()];
             let stalled_ms = now_ms.saturating_sub(st.since_ms);
             if st.reported
                 || snap.len() < 2
@@ -227,7 +235,7 @@ impl Telemetry {
 fn push_field(line: &mut String, m: Metric, v: u64) {
     use std::fmt::Write as _;
     if v == u64::MAX
-        && matches!(m, Metric::HorizonPs | Metric::NextEventPs | Metric::QueueHeadPs)
+        && matches!(m, Metric::HorizonPs | Metric::NextEventPs)
     {
         let _ = write!(line, "\"{}\":null", m.name());
     } else {
@@ -392,7 +400,7 @@ mod tests {
         let mut s = snap(3);
         // Node 2 parked at horizon 5000 with a runnable event at 7000.
         set(&mut s, 2, Metric::HorizonPs, 5000);
-        set(&mut s, 2, Metric::QueueHeadPs, 7000);
+        set(&mut s, 2, Metric::NextEventPs, 7000);
         set(&mut s, 2, Metric::Parked, 1);
         // Peer promises: node 0 pins (next 4000 + base 1000 = 5000), node 1
         // is comfortably ahead.
@@ -429,17 +437,17 @@ mod tests {
         let mut wd = Watchdog::new(spec(2, 50));
         let mut s = snap(2);
         set(&mut s, 1, Metric::HorizonPs, 100);
-        set(&mut s, 1, Metric::QueueHeadPs, 200);
+        set(&mut s, 1, Metric::NextEventPs, 200);
         wd.tick(&s, 0);
         assert!(wd.tick(&s, 1000).is_empty(), "not parked → no fire");
         // Parked but idle (no queued work): parking is legitimate.
         set(&mut s, 1, Metric::Parked, 1);
-        set(&mut s, 1, Metric::QueueHeadPs, u64::MAX);
+        set(&mut s, 1, Metric::NextEventPs, u64::MAX);
         let mut wd = Watchdog::new(spec(2, 50));
         wd.tick(&s, 0);
         assert!(wd.tick(&s, 1000).is_empty(), "idle → no fire");
         // Parked with executable work below the horizon: it will run it.
-        set(&mut s, 1, Metric::QueueHeadPs, 50);
+        set(&mut s, 1, Metric::NextEventPs, 50);
         let mut wd = Watchdog::new(spec(2, 50));
         wd.tick(&s, 0);
         assert!(wd.tick(&s, 1000).is_empty(), "work below horizon → no fire");
@@ -451,7 +459,7 @@ mod tests {
         let mut wd = Watchdog::new(spec(2, 100));
         let mut s = snap(2);
         set(&mut s, 0, Metric::HorizonPs, 10);
-        set(&mut s, 0, Metric::QueueHeadPs, 20);
+        set(&mut s, 0, Metric::NextEventPs, 20);
         set(&mut s, 0, Metric::Parked, 1);
         wd.tick(&s, 0);
         for t in 1..10u64 {
@@ -467,7 +475,7 @@ mod tests {
         let mut s = snap(3);
         // 0 parked on 1's promise; 1 frozen too (blames 2); 2 is the root.
         set(&mut s, 0, Metric::HorizonPs, 1000);
-        set(&mut s, 0, Metric::QueueHeadPs, 5000);
+        set(&mut s, 0, Metric::NextEventPs, 5000);
         set(&mut s, 0, Metric::Parked, 1);
         set(&mut s, 0, Metric::NextEventPs, 40_000);
         set(&mut s, 1, Metric::HorizonPs, 900);
@@ -488,13 +496,39 @@ mod tests {
         assert!(txt.contains("waits-for: 0 -> 1 -> 2"), "{txt}");
     }
 
+    /// A peer that has not entered the stalled node's epoch round is blamed
+    /// over a smaller promise from a peer already waiting in that round:
+    /// the round cannot close without the laggard.
+    #[test]
+    fn watchdog_blames_the_peer_behind_in_the_round() {
+        let mut wd = Watchdog::new(spec(3, 100));
+        let mut s = snap(3);
+        // Node 0 parked in round 3 with work at 700; node 2 is in round 3
+        // too and promises the least, node 1 is still in round 2.
+        set(&mut s, 0, Metric::BarrierWaits, 3);
+        set(&mut s, 0, Metric::HorizonPs, 500);
+        set(&mut s, 0, Metric::NextEventPs, 700);
+        set(&mut s, 0, Metric::Parked, 1);
+        set(&mut s, 1, Metric::BarrierWaits, 2);
+        set(&mut s, 1, Metric::NextEventPs, 90_000);
+        set(&mut s, 2, Metric::BarrierWaits, 3);
+        set(&mut s, 2, Metric::NextEventPs, 100);
+        wd.tick(&s, 0);
+        let fired = wd.tick(&s, 200);
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].node, 0);
+        assert_eq!(fired[0].blamed, 1);
+        assert_eq!(fired[0].blocker_promise_ps, 91_000);
+        assert_eq!(fired[0].chain[..2], [0, 1]);
+    }
+
     /// Single-node runs never fire (there is no peer to wait for).
     #[test]
     fn watchdog_single_node_never_fires() {
         let mut wd = Watchdog::new(spec(1, 10));
         let mut s = snap(1);
         set(&mut s, 0, Metric::Parked, 1);
-        set(&mut s, 0, Metric::QueueHeadPs, 100);
+        set(&mut s, 0, Metric::NextEventPs, 100);
         wd.tick(&s, 0);
         assert!(wd.tick(&s, 10_000).is_empty());
     }

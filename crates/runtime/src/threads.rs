@@ -4,22 +4,17 @@
 //! workstations exchanging messages), where the sim driver is its
 //! deterministic reference model.
 //!
-//! The conservative-sync protocol itself — the drain → horizon → execute →
-//! publish loop of both sync modes, the horizon rule and the async
-//! send-coverage machinery — lives in [`crate::engine`], backend-
-//! independent. This module is the *instantiation* over one address space:
+//! The conservative-sync protocol itself — the epoch loop (drain →
+//! horizon → execute → publish) and the horizon rule — lives in
+//! [`crate::engine`], backend-independent. This module is the
+//! *instantiation* over one address space:
 //!
 //! * frames cross [`ChannelEndpoint`] in-process channels,
 //! * the epoch protocol's four primitives ([`crate::engine::EpochPeers`])
 //!   are shared-memory: a `std::sync::Barrier` for the round barrier and
 //!   seqlock-style [`NodeSlot`]s (plain stores + an epoch-counter release
 //!   store; waiters spin briefly, then park on a condvar) for
-//!   publish/wait/read,
-//! * async mode's five [`crate::engine::AsyncPeers`] points run over a
-//!   shared [`AsyncShared`] — published slots, per-pair ack cells and
-//!   CAS-decided termination, which only exist because the peers *can*
-//!   share memory (the sockets backend replaces all of it with
-//!   coordinator-side counting, DESIGN.md §16.3).
+//!   publish/wait/read.
 //!
 //! Each epoch round: flush pending frames, cross the barrier (after it,
 //! everything peers sent in the previous window is in our channel), drain,
@@ -45,12 +40,9 @@
 //! abort guard is enforced at window granularity rather than per event.
 
 use crate::balance::BalancerState;
-use crate::config::{ClusterConfig, Mode, SyncMode};
+use crate::config::{ClusterConfig, Mode};
 use crate::driver::{self, ClusterError, Driver, Prepared};
-use crate::engine::{
-    async_done, make_node_sink, AsyncPeers, AsyncPoll, AsyncShared, EpochPeers, EpochSlot, Horizons, NodeOutcome,
-    SyncEngine,
-};
+use crate::engine::{make_node_sink, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
 use crate::report::{RunReport, SyncStats};
@@ -58,7 +50,7 @@ use crate::telemetry::{Telemetry, WatchdogSpec};
 use jsplit_mjvm::heap::ThreadUid;
 use jsplit_mjvm::interp::VmError;
 use jsplit_net::{ChannelEndpoint, MeshSetup, NodeId};
-use jsplit_trace::{Event, FlightRecorder, FlightTag, MetricsRegistry, SpanRecorder, WallProfile};
+use jsplit_trace::{Event, FlightRecorder, MetricsRegistry, SpanRecorder, WallProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Instant;
@@ -119,9 +111,9 @@ impl Shared {
     /// its profiling mark there, and the lost-wakeup regression test
     /// injects a publisher to force the publish-between-spin-and-park
     /// interleaving. The wait is untimed on purpose: the publish protocol
-    /// above makes a missed wakeup impossible, and the 200µs timeout the
-    /// pre-async driver carried as a crutch cost a spurious-wakeup storm
-    /// per round on oversubscribed hosts.
+    /// above makes a missed wakeup impossible, and the 200µs timeout an
+    /// earlier driver carried as a crutch cost a spurious-wakeup storm per
+    /// round on oversubscribed hosts.
     fn wait_epochs(&self, round: u64, before_park: &mut dyn FnMut()) -> bool {
         let mut spins = 0u32;
         let mut parked = false;
@@ -181,189 +173,6 @@ impl EpochPeers for ThreadPeers {
             o.spawns_sent = s.spawns_sent.load(Ordering::Relaxed);
             o.spawns_recv = s.spawns_recv.load(Ordering::Relaxed);
             o.ops = s.ops.load(Ordering::Relaxed);
-        }
-    }
-}
-
-/// The shared-memory instantiation of the async protocol (DESIGN.md §14):
-/// the engine's five [`AsyncPeers`] points mapped onto [`AsyncShared`] —
-/// a snapshot horizon read from the published slots, crossing-rule nulls
-/// gated on parked peers, slot-version/`next`/counter-delta publication,
-/// CAS-decided termination, and a flush-counter rendezvous.
-struct ThreadAsyncPeers {
-    asy: Arc<AsyncShared>,
-    /// This node's slot version: odd while inside a drain→process→publish
-    /// burst, even while idle between bursts.
-    version: u64,
-    /// Counter values at the last burst publication (only deltas go out).
-    last_live: u64,
-    last_spawns_recv: u64,
-    last_ops: u64,
-    /// Reusable snapshot and deadlock double-scan buffers.
-    nexts: Vec<u64>,
-    vbuf: Vec<u64>,
-}
-
-impl ThreadAsyncPeers {
-    fn new(asy: Arc<AsyncShared>, me: NodeId) -> ThreadAsyncPeers {
-        let n = asy.slots.len();
-        ThreadAsyncPeers {
-            asy,
-            version: 0,
-            // The main thread is prepaid in `AsyncShared::live`; baseline
-            // the console node at 1 so its bootstrap burst publishes a zero
-            // delta.
-            last_live: u64::from(me == CONSOLE_NODE),
-            last_spawns_recv: 0,
-            last_ops: 0,
-            nexts: Vec::with_capacity(n),
-            vbuf: Vec::with_capacity(n),
-        }
-    }
-
-    /// Race to set the outcome; the winner owes its peers a wakeup (they
-    /// may be parked on the inbound channel and would otherwise only
-    /// notice at the next timeout).
-    fn decide(&self, eng: &mut SyncEngine, outcome: u64) -> AsyncPoll {
-        let done = &self.asy.done;
-        if done.compare_exchange(async_done::RUNNING, outcome, Ordering::SeqCst, Ordering::SeqCst).is_ok() {
-            eng.wake_peers();
-        }
-        AsyncPoll::Again
-    }
-}
-
-impl AsyncPeers for ThreadAsyncPeers {
-    /// Epoch-grade horizon from the published snapshot — valid at every
-    /// instant, records in flight or not. The published `next` values are
-    /// fed to the §12.2 horizon rule verbatim; our own slot contributes the
-    /// live pending-aware `next`.
-    ///
-    /// Soundness rests on the send-coverage invariant (§14.4): a node's
-    /// published `next` is at all times a lower bound on (a) every event
-    /// in its queue — drains republish before acking, loopbacks land
-    /// above the section's processing point — and (b) the send time of
-    /// every record it has shipped that is still undrained (`async_next`
-    /// clamps to the `unacked` floor, and the floor only lifts after the
-    /// receiver's published `next` covers the record — the ack-after-
-    /// republish order in the engine's async drain). With every in-flight
-    /// record covered by its sender, any future send by node `i`
-    /// originates at ≥ its published `next_i`, and the §12.2 induction
-    /// goes through unchanged — no quiescence, no version stability, no
-    /// counter bracketing. A straggler in a busy cluster advances its
-    /// horizon with `n` atomic loads per burst, waking nobody.
-    fn snapshot_horizon(&mut self, eng: &SyncEngine) -> u64 {
-        let me = eng.endpoint.id as usize;
-        self.nexts.clear();
-        for (i, s) in self.asy.slots.iter().enumerate() {
-            self.nexts.push(if i == me { eng.async_next() } else { s.next.load(Ordering::SeqCst) });
-        }
-        eng.hz.horizon(me, &self.nexts)
-    }
-
-    /// Since every peer can compute the full snapshot horizon itself,
-    /// nulls carry no information an awake peer needs — they are
-    /// *doorbells*. A standalone null therefore ships only to a peer that
-    /// is parked on a runnable event (`qnext < ∞`), and only at the
-    /// *crossing*: the first promise that lifts our delivery bound past
-    /// the peer's executable head. Below the head our term cannot be what
-    /// unblocks it; above the head it already is not what blocks it —
-    /// either way a frame is a wasted wakeup. The peer whose term is the
-    /// last to cross is by definition the blocker, and its crossing frame
-    /// is the wakeup that matters; a crossing that happens while the peer
-    /// is awake is covered by the peer's own pre-park snapshot peek, and
-    /// any residual race by its park timeout.
-    fn wants_null(&self, dst: usize, sent: u64, promise: u64) -> bool {
-        let slot = &self.asy.slots[dst];
-        let qn = slot.qnext.load(Ordering::SeqCst);
-        // Crossing rule: `sent ≤ qn < promise`.
-        qn != u64::MAX && sent <= qn && qn < promise && slot.parked.load(Ordering::SeqCst)
-    }
-
-    fn set_parked(&mut self, me: usize, parked: bool) {
-        self.asy.slots[me].parked.store(parked, Ordering::SeqCst);
-    }
-
-    /// Open the odd section: checkers treat the whole burst as one atomic
-    /// step.
-    fn open_burst(&mut self, me: usize) {
-        self.asy.slots[me].version.store(self.version + 1, Ordering::SeqCst);
-    }
-
-    fn publish_burst(&mut self, eng: &mut SyncEngine, drained: u64, burst: u64, horizon: u64) {
-        let asy = &self.asy;
-        let slot = &asy.slots[eng.endpoint.id as usize];
-        let next = eng.async_next();
-        if drained == 0 && burst == 0 && slot.next.load(Ordering::SeqCst) == next {
-            // Quiet iteration: only null promises moved, nothing the
-            // termination checkers observe changed. (A differing published
-            // `next` disqualifies: an idle node's very first iteration must
-            // promote the slot's initial 0 to ∞, or its unpublished state
-            // drags every peer's snapshot horizon down to one link latency
-            // for the whole run.) Revert the version to the previous even
-            // value instead of closing a new section — otherwise an idle
-            // cluster creeping its horizons through a null cascade would
-            // bump versions forever and starve the deadlock detector's
-            // stability re-scan.
-            slot.version.store(self.version, Ordering::SeqCst);
-            return;
-        }
-        // Publish counter deltas: live strictly before spawns_recv (§14.3
-        // install rule); deltas wrap mod 2⁶⁴ so the global sums stay exact
-        // through decrements.
-        let add_delta = |cell: &AtomicU64, now: u64, last: &mut u64| {
-            if now != *last {
-                cell.fetch_add(now.wrapping_sub(*last), Ordering::SeqCst);
-                *last = now;
-            }
-        };
-        add_delta(&asy.live, eng.node.live() as u64, &mut self.last_live);
-        add_delta(&asy.spawns_recv, eng.spawns_recv(), &mut self.last_spawns_recv);
-        add_delta(&asy.ops, eng.node.ops, &mut self.last_ops);
-        let qhead = eng.queue_head();
-        slot.next.store(next, Ordering::SeqCst);
-        slot.qnext.store(qhead, Ordering::SeqCst);
-        // Close the odd section; from here the published snapshot is
-        // consistent and we only move frames and promises.
-        self.version += 2;
-        slot.version.store(self.version, Ordering::SeqCst);
-        eng.fly(FlightTag::BurstPublish, self.version, next);
-        eng.publish_metrics(horizon, next, qhead);
-    }
-
-    fn poll(&mut self, eng: &mut SyncEngine, horizon: u64) -> AsyncPoll {
-        let done = self.asy.done.load(Ordering::SeqCst);
-        if done != async_done::RUNNING {
-            return AsyncPoll::Done(done);
-        }
-        if self.asy.ops.load(Ordering::SeqCst) > eng.hz.max_ops {
-            return self.decide(eng, async_done::ABORT);
-        }
-        // Executable-work check on the bare queue head: the published
-        // `next` may sit below it (pinned by the in-flight floor), and
-        // spinning on that would busy-wait for an ack instead of parking
-        // for it.
-        if eng.queue_head() < horizon {
-            return AsyncPoll::Again;
-        }
-        // Idle: we ran out of horizon. Try to detect termination first.
-        if self.asy.finished() {
-            return self.decide(eng, async_done::FINISH);
-        }
-        if self.asy.deadlocked(&mut self.vbuf) {
-            return self.decide(eng, async_done::DEADLOCK);
-        }
-        AsyncPoll::Idle
-    }
-
-    /// Nodes count themselves in after their final flush; the leftover
-    /// drain waits for all `n`, so every sent record is receive-accounted
-    /// before endpoints are torn down.
-    fn flush_rendezvous(&mut self) {
-        let n = self.asy.slots.len() as u64;
-        self.asy.flushed.fetch_add(1, Ordering::SeqCst);
-        while self.asy.flushed.load(Ordering::SeqCst) < n {
-            std::thread::yield_now();
         }
     }
 }
@@ -437,9 +246,6 @@ impl ThreadsDriver {
             epoch_lock: Mutex::new(()),
             epoch_cv: Condvar::new(),
         });
-        // Async sync mode swaps the epoch loop for the barrier-free burst
-        // loop, sharing termination state directly.
-        let asy = (self.config.sync == SyncMode::Async).then(|| Arc::new(AsyncShared::new(n)));
         // Live telemetry: registry + flight recorder shared with the node
         // threads, sampler/watchdog on a side-band thread. All `None`
         // without `--metrics` — the hot paths then pay one untaken branch.
@@ -477,7 +283,6 @@ impl ThreadsDriver {
         for (node, endpoint) in self.nodes.into_iter().zip(self.endpoints) {
             let shared = shared.clone();
             let mut eng = SyncEngine::new(node, endpoint, hz.clone(), mode, thread_main, n, BalancerState::new(balancer));
-            eng.asy = asy.clone();
             eng.recorder = trace_mode.map(make_node_sink);
             eng.metrics = registry.clone();
             eng.flight = flight.clone();
@@ -503,13 +308,7 @@ impl ThreadsDriver {
                 // Setup-phase activity (statics bootstrap, class shipping)
                 // is part of the trace; stamp it at t = 0 like the sim.
                 eng.drain_trace(0);
-                match eng.asy.clone() {
-                    Some(asy) => {
-                        let mut peers = ThreadAsyncPeers::new(asy, eng.endpoint.id);
-                        eng.run_async(&mut peers)
-                    }
-                    None => eng.run_epoch(&mut ThreadPeers { shared }),
-                }
+                eng.run_epoch(&mut ThreadPeers { shared })
             }));
         }
         let mut outcomes: Vec<NodeOutcome> = handles
@@ -536,19 +335,12 @@ impl ThreadsDriver {
             }
         }
         let sync = SyncStats {
-            // Epoch rounds are cluster-global (identical on every node);
-            // async bursts are per-node, so the cluster figure is the sum.
-            windows: match self.config.sync {
-                SyncMode::Epoch => outcomes[0].windows,
-                SyncMode::Async => outcomes.iter().map(|o| o.windows).sum(),
-            },
+            // Epoch rounds are cluster-global (identical on every node).
+            windows: outcomes[0].windows,
             barrier_waits: outcomes.iter().map(|o| o.barrier_waits).sum(),
             frames_sent: outcomes.iter().map(|o| o.endpoint.frame_stats.frames_sent).sum(),
             frame_bytes: outcomes.iter().map(|o| o.endpoint.frame_stats.frame_bytes).sum(),
             msgs_framed: outcomes.iter().map(|o| o.endpoint.frame_stats.msgs_framed).sum(),
-            nulls_sent: outcomes.iter().map(|o| o.endpoint.frame_stats.nulls_sent).sum(),
-            nulls_piggybacked: outcomes.iter().map(|o| o.endpoint.frame_stats.nulls_piggybacked).sum(),
-            horizon_advances: outcomes.iter().map(|o| o.horizon_advances).sum(),
         };
         let finish = outcomes.iter().map(|o| o.node.finish_time).max().unwrap_or(0);
         // Merge the per-node streams into the sim's canonical normal form:

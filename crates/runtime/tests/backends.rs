@@ -3,24 +3,23 @@
 //!
 //! The threads backend runs each node on its own OS thread and moves every
 //! protocol message as *encoded bytes* across a channel, synchronized by
-//! conservative virtual-time windows (single-barrier epoch rounds or
-//! barrier-free async bursts). If its windowing, framing, message merge
+//! conservative virtual-time windows (single-barrier epoch rounds). If its
+//! windowing, framing, message merge
 //! order, uid allocation, or load-balance placement diverged from the sim
 //! driver in any observable way, these tests catch it: program stdout,
 //! virtual execution time, instruction counts, per-node DSM protocol
 //! counters, and per-node network message/byte totals must all match
 //! exactly — on all three paper applications plus a write-heavy
-//! microbenchmark, across cluster sizes, in both protocol modes, under
-//! either sync mode. (Host wall-clock and the sync counters are the fields
-//! allowed to differ — they describe *how* the parallel run was
-//! orchestrated, which is the
+//! microbenchmark, across cluster sizes, in both protocol modes. (Host
+//! wall-clock and the sync counters are the fields allowed to differ —
+//! they describe *how* the parallel run was orchestrated, which is the
 //! point of the backend.)
 
 use jsplit_dsm::ProtocolMode;
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, RunReport, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, RunReport};
 
 fn apps() -> Vec<(&'static str, Program)> {
     use jsplit_apps::{raytracer, series, tsp};
@@ -33,17 +32,6 @@ fn apps() -> Vec<(&'static str, Program)> {
 
 fn run(backend: Backend, proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_protocol(proto).with_backend(backend);
-    let r = run_cluster(cfg, p).expect("cluster setup");
-    r.expect_clean();
-    r
-}
-
-/// A threads run under the asynchronous (barrier-free) sync protocol.
-fn run_async(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
-    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes)
-        .with_protocol(proto)
-        .with_backend(Backend::Threads)
-        .with_sync(SyncMode::Async);
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
     r
@@ -81,7 +69,7 @@ fn threads_backend_matches_sim_on_all_apps_both_protocols() {
 #[test]
 fn threads_backend_matches_sim_across_node_counts() {
     for (app, p) in &apps() {
-        for nodes in [2usize, 16] {
+        for nodes in [2usize, 4, 8, 16] {
             let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, nodes, p);
             let thr = run(Backend::Threads, ProtocolMode::MtsHlrc, nodes, p);
             assert_reports_match(&format!("{app} @ {nodes} nodes"), &sim, &thr);
@@ -279,190 +267,14 @@ fn wall_profile_categories_tile_thread_wall_time() {
     assert!(sim.wall.is_none());
 }
 
-/// `--sync async` replaces the epoch barrier with Chandy–Misra–Bryant null
-/// promises; every observable result must still be identical to the sim
-/// *and* to the epoch protocol — on all three paper apps, in both protocol
-/// modes.
+/// The skewed kernel: 16 nodes, one ~12x-slower straggler that paces
+/// every epoch round. The round structure must not change any result.
 #[test]
-fn async_sync_matches_sim_and_epoch_on_all_apps_both_protocols() {
-    for (app, p) in &apps() {
-        for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
-            let sim = run(Backend::Sim, proto, 4, p);
-            let epoch = run(Backend::Threads, proto, 4, p);
-            let asy = run_async(proto, 4, p);
-            assert_reports_match(&format!("{app} ({proto:?}) async-vs-sim"), &sim, &asy);
-            assert_reports_match(&format!("{app} ({proto:?}) async-vs-epoch"), &epoch, &asy);
-        }
-    }
-}
-
-/// The full async matrix: every app, cluster sizes below and above the
-/// thread count — always counter-identical to the sim and to the epoch
-/// driver.
-#[test]
-fn async_sync_matches_sim_and_epoch_across_node_counts() {
-    for (app, p) in &apps() {
-        for nodes in [2usize, 4, 8, 16] {
-            let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, nodes, p);
-            let epoch = run(Backend::Threads, ProtocolMode::MtsHlrc, nodes, p);
-            let asy = run_async(ProtocolMode::MtsHlrc, nodes, p);
-            let ctx = format!("{app} @ {nodes} nodes");
-            assert_reports_match(&format!("{ctx} async-vs-sim"), &sim, &asy);
-            assert_reports_match(&format!("{ctx} async-vs-epoch"), &epoch, &asy);
-        }
-    }
-}
-
-/// Async runs must be deterministic on their own terms too: the drain
-/// schedule (which arrivals land in which burst) is wall-clock noise, but
-/// the merge key and the purely local horizon rule make the virtual-time
-/// execution identical across repeats.
-#[test]
-fn async_sync_is_deterministic_repeated() {
-    let (_, p) = apps().swap_remove(0);
-    let first = run_async(ProtocolMode::MtsHlrc, 8, &p);
-    for i in 1..5 {
-        let r = run_async(ProtocolMode::MtsHlrc, 8, &p);
-        assert_eq!(first.output, r.output, "run {i}: stdout diverged");
-        assert_eq!(first.exec_time_ps, r.exec_time_ps, "run {i}: virtual time diverged");
-        assert_eq!(first.ops_per_node, r.ops_per_node, "run {i}: per-node ops diverged");
-        assert_eq!(first.net_per_node, r.net_per_node, "run {i}: net stats diverged");
-        assert_eq!(first.dsm_per_node, r.dsm_per_node, "run {i}: DSM stats diverged");
-    }
-}
-
-/// Silent-node topology under async sync: nodes that never send data can
-/// only move their peers' horizons through null promises. If nulls didn't
-/// flow (or didn't carry the §12.2 self-echo recursion), this run would
-/// deadlock or diverge instead of completing.
-#[test]
-fn async_nulls_alone_carry_the_horizon() {
-    use jsplit_apps::tsp;
-    let p = tsp::program(tsp::TspParams { n: 7, seed: 42, depth: 2, threads: 2 });
-    let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 8, &p);
-    let asy = run_async(ProtocolMode::MtsHlrc, 8, &p);
-    assert_reports_match("tsp-silent async", &sim, &asy);
-    let quiet = asy.net_per_node.iter().skip(1).any(|n| n.msgs_sent == 0);
-    assert!(quiet, "expected at least one silent worker in an 8-node run of 2 threads");
-    assert!(asy.sync.nulls_sent > 0, "silent nodes must have shipped standalone null promises");
-}
-
-/// Single-node async runs take the same horizon=∞ fast path as epoch mode.
-#[test]
-fn async_sync_matches_sim_single_node() {
-    let (_, p) = apps().swap_remove(0);
-    let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 1, &p);
-    let asy = run_async(ProtocolMode::MtsHlrc, 1, &p);
-    assert_reports_match("tsp-1node async", &sim, &asy);
-}
-
-/// Async orchestration counters: no barrier is ever crossed, horizons
-/// advance, and null promises flow (standalone or piggybacked). The
-/// volume of nulls is wall-timing-dependent, so only presence is asserted.
-#[test]
-fn async_sync_counters_are_populated() {
-    let (_, p) = apps().swap_remove(0);
-    let r = run_async(ProtocolMode::MtsHlrc, 4, &p);
-    let s = r.sync;
-    assert_eq!(s.barrier_waits, 0, "async sync must never touch the barrier");
-    assert!(s.windows > 0, "no bursts counted");
-    assert!(s.horizon_advances > 0, "horizons never advanced");
-    assert!(s.nulls_sent + s.nulls_piggybacked > 0, "no null promises shipped");
-    assert!(s.msgs_framed > 0, "no messages framed");
-    // Epoch runs must stay free of the async counters.
-    let epoch = run(Backend::Threads, ProtocolMode::MtsHlrc, 4, &p);
-    assert_eq!(epoch.sync.nulls_sent, 0);
-    assert_eq!(epoch.sync.nulls_piggybacked, 0);
-    assert_eq!(epoch.sync.horizon_advances, 0);
-}
-
-/// A traced async run still produces the byte-identical canonical event
-/// stream (nulls are sync-layer traffic, invisible to the virtual-time
-/// trace), and its wall profile tiles with `horizon_wait` standing in for
-/// the barrier categories.
-#[test]
-fn async_trace_is_byte_identical_and_wall_profile_tiles() {
-    use jsplit_trace::SpanKind;
-    let (_, p) = apps().swap_remove(0);
-    let sim = run_cluster(
-        ClusterConfig::javasplit(JvmProfile::SunSim, 4)
-            .with_backend(Backend::Sim)
-            .with_trace(jsplit_trace::TraceMode::Full),
-        &p,
-    )
-    .expect("sim setup");
-    let asy = run_cluster(
-        ClusterConfig::javasplit(JvmProfile::SunSim, 4)
-            .with_backend(Backend::Threads)
-            .with_sync(SyncMode::Async)
-            .with_trace(jsplit_trace::TraceMode::Full),
-        &p,
-    )
-    .expect("async setup");
-    sim.expect_clean();
-    asy.expect_clean();
-    assert_eq!(sim.trace, asy.trace, "async trace diverged from sim");
-    let wall = asy.wall.as_ref().expect("traced run carries a wall profile");
-    for n in &wall.nodes {
-        let acc = n.accounted_ns();
-        assert!(acc <= n.wall_ns, "node {}: accounted {acc} ns exceeds wall {} ns", n.node, n.wall_ns);
-        let gap = n.wall_ns - acc;
-        assert!(
-            gap <= n.wall_ns / 100 + 500_000,
-            "node {}: unaccounted gap {gap} ns of wall {} ns (> 1% + 0.5 ms)",
-            n.node,
-            n.wall_ns
-        );
-        // The barrier categories must be empty and the async one populated.
-        assert_eq!(n.stats_of(SpanKind::BarrierWait).count, 0, "node {}: barrier spans under async", n.node);
-        assert_eq!(n.stats_of(SpanKind::CondvarWait).count, 0, "node {}: condvar spans under async", n.node);
-        assert_eq!(n.stats_of(SpanKind::SlotSpin).count, 0, "node {}: slot-spin spans under async", n.node);
-        assert!(n.stats_of(SpanKind::Execute).count > 0, "node {}: no execute spans", n.node);
-    }
-    assert!(
-        wall.nodes.iter().any(|n| n.stats_of(SpanKind::HorizonWait).count > 0),
-        "no node ever parked on its horizon in a 4-node run"
-    );
-}
-
-/// The convoy kernel: 16 nodes, one ~12x-slower straggler. Under epoch
-/// sync every round is paced by the straggler (the barrier convoy); async
-/// lets the 15 fast nodes run ahead and park. Both must match the sim.
-///
-/// The wall-clock claim is core-count-gated, mirroring the CI convoy
-/// guard's warn-don't-fail stance on the 1-core container: with real
-/// parallelism the convoy is real wall time and async must win outright;
-/// on an oversubscribed few-core host a barrier convoy costs almost
-/// nothing (blocked threads donate their core to the straggler, making
-/// epoch near-optimal there), so async only has to stay within a 2x
-/// regression band — enough to catch a horizon stall, which shows up as
-/// an order of magnitude, not a fraction.
-#[test]
-fn async_beats_epoch_on_the_skewed_kernel() {
+fn threads_backend_matches_sim_on_the_skewed_kernel() {
     let p = jsplit_apps::micro::skewed_block_array_kernel(1600, 16, 400);
     let sim = run(Backend::Sim, ProtocolMode::MtsHlrc, 16, &p);
-    let mut epoch_best = f64::INFINITY;
-    let mut async_best = f64::INFINITY;
-    for _ in 0..2 {
-        let e = run(Backend::Threads, ProtocolMode::MtsHlrc, 16, &p);
-        assert_reports_match("skew epoch-vs-sim", &sim, &e);
-        epoch_best = epoch_best.min(e.host_wall_secs);
-        let a = run_async(ProtocolMode::MtsHlrc, 16, &p);
-        assert_reports_match("skew async-vs-sim", &sim, &a);
-        async_best = async_best.min(a.host_wall_secs);
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    if cores >= 8 {
-        assert!(
-            async_best < epoch_best,
-            "async ({async_best:.4}s) lost the convoy race to epoch ({epoch_best:.4}s) on a {cores}-core host"
-        );
-    } else {
-        assert!(
-            async_best <= epoch_best * 2.0,
-            "async ({async_best:.4}s) fell past the regression band vs epoch ({epoch_best:.4}s) even for a {cores}-core host"
-        );
-    }
+    let thr = run(Backend::Threads, ProtocolMode::MtsHlrc, 16, &p);
+    assert_reports_match("skew @ 16 nodes", &sim, &thr);
 }
 
 /// The threads driver cannot honour mid-run joins; they must be rejected

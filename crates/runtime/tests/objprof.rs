@@ -6,7 +6,7 @@
 //! * **Bit-identical off→on.** Enabling `objprof` must not perturb the
 //!   execution: program output, virtual time, ops, and every per-node DSM
 //!   and network counter are identical with the profiler on and off, on
-//!   every backend, both DSM protocols, both sync modes.
+//!   every backend and both DSM protocols.
 //! * **Deterministic report.** The merged [`ObjProfReport`] is a pure
 //!   function of the virtual-time execution, so it is identical
 //!   run-to-run *and* across the sim / threads / sockets backends — the
@@ -27,7 +27,7 @@ use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport};
 use jsplit_trace::{ObjProfReport, STATS_MAPPED};
 
 fn tsp() -> Program {
@@ -56,11 +56,10 @@ fn sockets_config() -> SocketsConfig {
 /// concurrently-running fault-injection test would kill them.
 static WORKER_ENV: Mutex<()> = Mutex::new(());
 
-fn cfg(backend: Backend, proto: ProtocolMode, sync: SyncMode, objprof: bool) -> ClusterConfig {
+fn cfg(backend: Backend, proto: ProtocolMode, objprof: bool) -> ClusterConfig {
     let mut c = ClusterConfig::javasplit(JvmProfile::SunSim, 4)
         .with_backend(backend)
         .with_protocol(proto)
-        .with_sync(sync)
         .with_objprof(objprof);
     if backend == Backend::Sockets {
         c = c.with_sockets(sockets_config());
@@ -85,28 +84,21 @@ fn assert_observation_equal(ctx: &str, a: &RunReport, b: &RunReport) {
     assert_eq!(a.net_per_node, b.net_per_node, "{ctx}: per-node net stats diverged");
 }
 
-/// Profiling is observation-free: the full backend × protocol × sync
-/// matrix runs bit-identically with the profiler on and off.
+/// Profiling is observation-free: the full backend × protocol matrix runs
+/// bit-identically with the profiler on and off.
 #[test]
 fn objprof_off_vs_on_is_bit_identical_across_backends() {
     let p = tsp();
-    for (backend, proto, sync) in [
-        (Backend::Sim, ProtocolMode::MtsHlrc, SyncMode::Epoch),
-        (Backend::Sim, ProtocolMode::ClassicHlrc, SyncMode::Epoch),
-        (Backend::Threads, ProtocolMode::MtsHlrc, SyncMode::Epoch),
-        (Backend::Threads, ProtocolMode::MtsHlrc, SyncMode::Async),
-        (Backend::Threads, ProtocolMode::ClassicHlrc, SyncMode::Async),
-        (Backend::Sockets, ProtocolMode::MtsHlrc, SyncMode::Epoch),
-        (Backend::Sockets, ProtocolMode::MtsHlrc, SyncMode::Async),
-        (Backend::Sockets, ProtocolMode::ClassicHlrc, SyncMode::Epoch),
-    ] {
-        let ctx = format!("{backend:?}/{proto:?}/{sync:?}");
-        let bare = run(cfg(backend, proto, sync, false), &p);
-        let profiled = run(cfg(backend, proto, sync, true), &p);
-        assert_observation_equal(&ctx, &bare, &profiled);
-        assert!(bare.objprof.is_none(), "{ctx}: bare run must not carry a profile");
-        let rep = profiled.objprof.as_ref().expect("profiled run carries a report");
-        assert!(!rep.objects.is_empty(), "{ctx}: TSP shares objects; report cannot be empty");
+    for backend in [Backend::Sim, Backend::Threads, Backend::Sockets] {
+        for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
+            let ctx = format!("{backend:?}/{proto:?}");
+            let bare = run(cfg(backend, proto, false), &p);
+            let profiled = run(cfg(backend, proto, true), &p);
+            assert_observation_equal(&ctx, &bare, &profiled);
+            assert!(bare.objprof.is_none(), "{ctx}: bare run must not carry a profile");
+            let rep = profiled.objprof.as_ref().expect("profiled run carries a report");
+            assert!(!rep.objects.is_empty(), "{ctx}: TSP shares objects; report cannot be empty");
+        }
     }
 }
 
@@ -116,23 +108,18 @@ fn objprof_off_vs_on_is_bit_identical_across_backends() {
 #[test]
 fn objprof_report_identical_across_runs_and_backends() {
     let p = tsp();
-    let reference = run(cfg(Backend::Sim, ProtocolMode::MtsHlrc, SyncMode::Epoch, true), &p)
+    let reference = run(cfg(Backend::Sim, ProtocolMode::MtsHlrc, true), &p)
         .objprof
         .expect("sim report");
-    let again = run(cfg(Backend::Sim, ProtocolMode::MtsHlrc, SyncMode::Epoch, true), &p)
+    let again = run(cfg(Backend::Sim, ProtocolMode::MtsHlrc, true), &p)
         .objprof
         .expect("sim report");
     assert_eq!(reference, again, "sim report not reproducible run-to-run");
-    for (backend, sync) in [
-        (Backend::Threads, SyncMode::Epoch),
-        (Backend::Threads, SyncMode::Async),
-        (Backend::Sockets, SyncMode::Epoch),
-        (Backend::Sockets, SyncMode::Async),
-    ] {
-        let rep = run(cfg(backend, ProtocolMode::MtsHlrc, sync, true), &p)
+    for backend in [Backend::Threads, Backend::Sockets] {
+        let rep = run(cfg(backend, ProtocolMode::MtsHlrc, true), &p)
             .objprof
             .expect("live report");
-        assert_eq!(reference, rep, "{backend:?}/{sync:?} report diverged from sim");
+        assert_eq!(reference, rep, "{backend:?} report diverged from sim");
     }
 }
 
@@ -173,7 +160,7 @@ fn assert_reconciles(ctx: &str, rep: &ObjProfReport, total: &DsmStats) {
 fn objprof_reconciles_with_dsm_totals() {
     for (app, p) in [("tsp", tsp()), ("raytracer", raytracer())] {
         for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
-            let r = run(cfg(Backend::Sim, proto, SyncMode::Epoch, true), &p);
+            let r = run(cfg(Backend::Sim, proto, true), &p);
             let rep = r.objprof.as_ref().expect("report");
             assert_reconciles(&format!("{app}/{proto:?}"), rep, &r.dsm_total());
         }

@@ -7,10 +7,9 @@
 //! the same conservative `SyncEngine` as the threads backend — so program
 //! stdout, virtual execution time, instruction counts, per-node DSM
 //! protocol counters, and per-node network message/byte totals must all
-//! match the sim exactly, on all three paper applications, in both
-//! protocol modes, under both sync protocols (epoch barriers and the
-//! barrier-free async promises). Only wall-clock, frame and sync counters
-//! — *how* the run was orchestrated — may differ.
+//! match the sim exactly, on all three paper applications and in both
+//! protocol modes. Only wall-clock, frame and sync counters — *how* the
+//! run was orchestrated — may differ.
 //!
 //! The handshake tests exercise the failure paths end to end: a
 //! mismatched dial-in gets an `Envelope::Reject` with a human-readable
@@ -27,7 +26,7 @@ use jsplit_mjvm::cost::JvmProfile;
 use jsplit_net::tcp::{self, Envelope};
 use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, ClusterError, RunReport};
 
 fn apps() -> Vec<(&'static str, Program)> {
     use jsplit_apps::{raytracer, series, tsp};
@@ -55,11 +54,10 @@ fn run_sim(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     r
 }
 
-fn run_sockets(proto: ProtocolMode, nodes: usize, sync: SyncMode, p: &Program) -> RunReport {
+fn run_sockets(proto: ProtocolMode, nodes: usize, p: &Program) -> RunReport {
     let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, nodes)
         .with_protocol(proto)
         .with_backend(Backend::Sockets)
-        .with_sync(sync)
         .with_sockets(sockets_config());
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
@@ -78,38 +76,36 @@ fn assert_reports_match(ctx: &str, sim: &RunReport, skt: &RunReport) {
     assert_eq!(sim.net_per_node, skt.net_per_node, "{ctx}: per-node net stats diverged");
 }
 
-/// The acceptance matrix: every paper app, both DSM protocols, both sync
-/// protocols, 4 worker processes over localhost TCP — bit-identical to
-/// the sim.
+/// The acceptance matrix: every paper app, both DSM protocols, 4 worker
+/// processes over localhost TCP — bit-identical to the sim.
 #[test]
-fn sockets_backend_matches_sim_on_all_apps_both_protocols_both_sync_modes() {
+fn sockets_backend_matches_sim_on_all_apps_both_protocols() {
     for (app, p) in &apps() {
         for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
             let sim = run_sim(proto, 4, p);
-            for sync in [SyncMode::Epoch, SyncMode::Async] {
-                let skt = run_sockets(proto, 4, sync, p);
-                assert_reports_match(&format!("{app} ({proto:?}, {sync:?})"), &sim, &skt);
-            }
+            let skt = run_sockets(proto, 4, p);
+            assert_reports_match(&format!("{app} ({proto:?})"), &sim, &skt);
         }
     }
 }
 
 /// Cluster sizes below and above the app's thread count, plus an 8-node
-/// async run of a 2-thread TSP: most workers stay silent, so their peers'
-/// horizons move only through null promises shipped over the wire.
+/// run of a 2-thread TSP: most workers stay silent, so they take part in
+/// every round's barrier and slot exchange with nothing to send.
 #[test]
 fn sockets_backend_matches_sim_across_node_counts() {
     let (_, p) = &apps()[0];
     for nodes in [2usize, 8] {
         let sim = run_sim(ProtocolMode::MtsHlrc, nodes, p);
-        let skt = run_sockets(ProtocolMode::MtsHlrc, nodes, SyncMode::Epoch, p);
+        let skt = run_sockets(ProtocolMode::MtsHlrc, nodes, p);
         assert_reports_match(&format!("tsp @ {nodes} nodes"), &sim, &skt);
     }
     let silent = jsplit_apps::tsp::program(jsplit_apps::tsp::TspParams { n: 7, seed: 42, depth: 2, threads: 2 });
     let sim = run_sim(ProtocolMode::MtsHlrc, 8, &silent);
-    let skt = run_sockets(ProtocolMode::MtsHlrc, 8, SyncMode::Async, &silent);
-    assert_reports_match("tsp-silent @ 8 nodes, async", &sim, &skt);
-    assert!(skt.sync.nulls_sent > 0, "silent workers must have shipped standalone null promises");
+    let skt = run_sockets(ProtocolMode::MtsHlrc, 8, &silent);
+    assert_reports_match("tsp-silent @ 8 nodes", &sim, &skt);
+    let quiet = skt.net_per_node.iter().skip(1).any(|n| n.msgs_sent == 0);
+    assert!(quiet, "expected at least one silent worker in an 8-node run of 2 threads");
 }
 
 /// Grab a port the OS considers free, then release it for the

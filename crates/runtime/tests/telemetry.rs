@@ -7,7 +7,7 @@
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::cost::JvmProfile;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, MetricsConfig, RunReport, SyncMode};
+use jsplit_runtime::{Backend, ClusterConfig, MetricsConfig, RunReport};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -15,8 +15,8 @@ fn tsp() -> Program {
     jsplit_apps::tsp::program(jsplit_apps::tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })
 }
 
-fn cfg(backend: Backend, sync: SyncMode, nodes: usize) -> ClusterConfig {
-    ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_backend(backend).with_sync(sync)
+fn cfg(backend: Backend, nodes: usize) -> ClusterConfig {
+    ClusterConfig::javasplit(JvmProfile::SunSim, nodes).with_backend(backend)
 }
 
 fn run(cfg: ClusterConfig, p: &Program) -> RunReport {
@@ -32,24 +32,20 @@ fn scratch(name: &str) -> PathBuf {
 
 /// Sampling must not perturb the run: program output, virtual time, and
 /// every deterministic protocol counter are identical with metrics on and
-/// off, on both backends and both sync modes.
+/// off, on both backends.
 #[test]
 fn metrics_do_not_change_results() {
     let p = tsp();
-    for (backend, sync) in [
-        (Backend::Sim, SyncMode::Epoch),
-        (Backend::Threads, SyncMode::Epoch),
-        (Backend::Threads, SyncMode::Async),
-    ] {
-        let bare = run(cfg(backend, sync, 4), &p);
+    for backend in [Backend::Sim, Backend::Threads] {
+        let bare = run(cfg(backend, 4), &p);
         let metered = run(
-            cfg(backend, sync, 4).with_metrics(MetricsConfig {
+            cfg(backend, 4).with_metrics(MetricsConfig {
                 interval: Duration::from_millis(5),
                 ..MetricsConfig::default()
             }),
             &p,
         );
-        let ctx = format!("{backend:?}/{sync:?}");
+        let ctx = format!("{backend:?}");
         assert_eq!(bare.output, metered.output, "{ctx}: stdout diverged");
         assert_eq!(bare.exec_time_ps, metered.exec_time_ps, "{ctx}: virtual time diverged");
         assert_eq!(bare.ops, metered.ops, "{ctx}: ops diverged");
@@ -70,7 +66,7 @@ fn metrics_jsonl_is_wellformed_and_monotone() {
     let p = tsp();
     let out = scratch("jsonl");
     let r = run(
-        cfg(Backend::Threads, SyncMode::Async, 4).with_metrics(MetricsConfig {
+        cfg(Backend::Threads, 4).with_metrics(MetricsConfig {
             out: Some(out.clone()),
             interval: Duration::from_millis(5),
             ..MetricsConfig::default()
@@ -109,16 +105,16 @@ fn metrics_jsonl_is_wellformed_and_monotone() {
     );
 }
 
-/// An injected stalled peer (node 1 sleeps before its first async
-/// iteration, promise pinned at 0) is detected within the watchdog budget
-/// and blamed — by name — by the nodes it pins; the run itself still
-/// completes with bit-identical virtual-time results.
+/// An injected stalled peer (node 1 sleeps before its first epoch round,
+/// so its peers park at the round-1 barrier) is detected within the
+/// watchdog budget and blamed — by name — by the nodes it pins; the run
+/// itself still completes with bit-identical virtual-time results.
 #[test]
 fn watchdog_detects_and_blames_injected_stalled_peer() {
     let p = tsp();
-    let reference = run(cfg(Backend::Threads, SyncMode::Async, 3), &p);
+    let reference = run(cfg(Backend::Threads, 3), &p);
     let r = run(
-        cfg(Backend::Threads, SyncMode::Async, 3).with_metrics(MetricsConfig {
+        cfg(Backend::Threads, 3).with_metrics(MetricsConfig {
             interval: Duration::from_millis(10),
             watchdog_budget: Some(Duration::from_millis(150)),
             stall_inject: Some((1, 700)),
@@ -144,13 +140,13 @@ fn watchdog_detects_and_blames_injected_stalled_peer() {
     }
 }
 
-/// No false positives: a healthy 8-node async TSP run with a tight-ish
-/// budget reports zero stalls.
+/// No false positives: a healthy 8-node TSP run with a tight-ish budget
+/// reports zero stalls.
 #[test]
 fn watchdog_stays_silent_on_healthy_cluster() {
     let p = tsp();
     let r = run(
-        cfg(Backend::Threads, SyncMode::Async, 8).with_metrics(MetricsConfig {
+        cfg(Backend::Threads, 8).with_metrics(MetricsConfig {
             interval: Duration::from_millis(10),
             watchdog_budget: Some(Duration::from_millis(400)),
             ..MetricsConfig::default()

@@ -1,7 +1,7 @@
 //! Per-node flight recorder: a fixed ring of recent state transitions.
 //!
 //! When a 16-node run wedges or panics, the question is "what was each node
-//! *just* doing" — the last few parks, horizon climbs and publishes — not
+//! *just* doing" — the last few parks, publishes and decisions — not
 //! the full trace. Each node owns a small ring it writes with plain atomic
 //! stores (single writer, no locks, no allocation after construction); a
 //! reader — the stall watchdog or the panic hook — snapshots the rings
@@ -24,15 +24,9 @@ pub enum FlightTag {
     Park,
     /// Thread resumed. a = safe horizon (ps), b = queue head (ps).
     Unpark,
-    /// Safe horizon strictly advanced. a = new horizon (ps), b = old horizon (ps).
-    HorizonClimb,
     /// Epoch-mode slot publish. a = round, b = published next-event (ps).
     EpochPublish,
-    /// Async-mode burst publish. a = version, b = published next (ps).
-    BurstPublish,
-    /// Outbound flush rendezvous / frame ship. a = frames so far, b = msgs so far.
-    FlushRendezvous,
-    /// Termination/deadlock decision observed. a = 1 finished / 2 deadlocked, b = 0.
+    /// Termination decision. a = 1 finished / 2 deadlocked / 3 aborted, b = round.
     Decide,
 }
 
@@ -41,11 +35,8 @@ impl FlightTag {
         Some(match v {
             1 => FlightTag::Park,
             2 => FlightTag::Unpark,
-            3 => FlightTag::HorizonClimb,
-            4 => FlightTag::EpochPublish,
-            5 => FlightTag::BurstPublish,
-            6 => FlightTag::FlushRendezvous,
-            7 => FlightTag::Decide,
+            3 => FlightTag::EpochPublish,
+            4 => FlightTag::Decide,
             _ => return None,
         })
     }
@@ -54,11 +45,8 @@ impl FlightTag {
         match self {
             FlightTag::Park => 1,
             FlightTag::Unpark => 2,
-            FlightTag::HorizonClimb => 3,
-            FlightTag::EpochPublish => 4,
-            FlightTag::BurstPublish => 5,
-            FlightTag::FlushRendezvous => 6,
-            FlightTag::Decide => 7,
+            FlightTag::EpochPublish => 3,
+            FlightTag::Decide => 4,
         }
     }
 
@@ -66,10 +54,7 @@ impl FlightTag {
         match self {
             FlightTag::Park => "park",
             FlightTag::Unpark => "unpark",
-            FlightTag::HorizonClimb => "horizon_climb",
             FlightTag::EpochPublish => "epoch_publish",
-            FlightTag::BurstPublish => "burst_publish",
-            FlightTag::FlushRendezvous => "flush",
             FlightTag::Decide => "decide",
         }
     }
@@ -273,7 +258,7 @@ mod tests {
         let fr = FlightRecorder::new(2);
         fr.log(0, FlightTag::Park, 100, 200);
         fr.log(0, FlightTag::Unpark, 150, u64::MAX);
-        fr.log(1, FlightTag::HorizonClimb, 300, 100);
+        fr.log(1, FlightTag::EpochPublish, 300, 100);
         let n0 = fr.dump_node(0);
         assert_eq!(n0.len(), 2);
         assert_eq!(n0[0].tag, FlightTag::Park);
@@ -312,7 +297,7 @@ mod tests {
             std::thread::spawn(move || {
                 for i in 0..20_000u64 {
                     // Invariant under test: a == b in every committed entry.
-                    fr.log(0, FlightTag::BurstPublish, i, i);
+                    fr.log(0, FlightTag::EpochPublish, i, i);
                 }
             })
         };
@@ -333,10 +318,7 @@ mod tests {
         for tag in [
             FlightTag::Park,
             FlightTag::Unpark,
-            FlightTag::HorizonClimb,
             FlightTag::EpochPublish,
-            FlightTag::BurstPublish,
-            FlightTag::FlushRendezvous,
             FlightTag::Decide,
         ] {
             assert_eq!(FlightTag::from_u32(tag.as_u32()), Some(tag));

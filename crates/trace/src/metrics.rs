@@ -56,30 +56,23 @@ pub enum Metric {
     NetMsgsRecv,
     /// Wire frames shipped (counter; threads backend).
     FramesSent,
-    /// Null-message promises shipped standalone (counter; async sync).
-    NullsSent,
-    /// Sync windows / execution bursts processed (counter).
+    /// Sync windows (epoch rounds) processed (counter).
     Windows,
-    /// Times the safe horizon strictly advanced (counter; async sync).
-    HorizonAdvances,
     /// `Barrier::wait` calls (counter; epoch sync).
     BarrierWaits,
     /// Live guest threads on this node (gauge).
     LiveThreads,
     /// Current safe horizon in virtual ps (gauge; `u64::MAX` = unbounded).
     HorizonPs,
-    /// Published earliest pending event, clamped to the in-flight send
-    /// floor (gauge; `u64::MAX` = idle).
+    /// Earliest queued event — the node's published promise and its
+    /// runnable demand (gauge; `u64::MAX` = idle).
     NextEventPs,
-    /// Bare earliest queued event — executable demand (gauge; `u64::MAX`
-    /// = no runnable work).
-    QueueHeadPs,
     /// 1 while the node thread is parked waiting for peers (gauge).
     Parked,
 }
 
 /// Number of metrics (array-indexed registry cells).
-pub const METRICS: usize = 18;
+pub const METRICS: usize = 15;
 
 /// All metrics in display/serialization order.
 pub const ALL_METRICS: [Metric; METRICS] = [
@@ -92,14 +85,11 @@ pub const ALL_METRICS: [Metric; METRICS] = [
     Metric::NetBytesSent,
     Metric::NetMsgsRecv,
     Metric::FramesSent,
-    Metric::NullsSent,
     Metric::Windows,
-    Metric::HorizonAdvances,
     Metric::BarrierWaits,
     Metric::LiveThreads,
     Metric::HorizonPs,
     Metric::NextEventPs,
-    Metric::QueueHeadPs,
     Metric::Parked,
 ];
 
@@ -115,15 +105,12 @@ impl Metric {
             Metric::NetBytesSent => 6,
             Metric::NetMsgsRecv => 7,
             Metric::FramesSent => 8,
-            Metric::NullsSent => 9,
-            Metric::Windows => 10,
-            Metric::HorizonAdvances => 11,
-            Metric::BarrierWaits => 12,
-            Metric::LiveThreads => 13,
-            Metric::HorizonPs => 14,
-            Metric::NextEventPs => 15,
-            Metric::QueueHeadPs => 16,
-            Metric::Parked => 17,
+            Metric::Windows => 9,
+            Metric::BarrierWaits => 10,
+            Metric::LiveThreads => 11,
+            Metric::HorizonPs => 12,
+            Metric::NextEventPs => 13,
+            Metric::Parked => 14,
         }
     }
 
@@ -132,7 +119,6 @@ impl Metric {
             Metric::LiveThreads
             | Metric::HorizonPs
             | Metric::NextEventPs
-            | Metric::QueueHeadPs
             | Metric::Parked => MetricKind::Gauge,
             _ => MetricKind::Counter,
         }
@@ -150,14 +136,11 @@ impl Metric {
             Metric::NetBytesSent => "bytes_sent",
             Metric::NetMsgsRecv => "msgs_recv",
             Metric::FramesSent => "frames_sent",
-            Metric::NullsSent => "nulls_sent",
             Metric::Windows => "windows",
-            Metric::HorizonAdvances => "horizon_advances",
             Metric::BarrierWaits => "barrier_waits",
             Metric::LiveThreads => "live_threads",
             Metric::HorizonPs => "horizon_ps",
             Metric::NextEventPs => "next_event_ps",
-            Metric::QueueHeadPs => "queue_head_ps",
             Metric::Parked => "parked",
         }
     }
@@ -316,7 +299,7 @@ mod tests {
     fn counters_and_gauges_partition() {
         let gauges: Vec<_> =
             ALL_METRICS.iter().filter(|m| m.kind() == MetricKind::Gauge).collect();
-        assert_eq!(gauges.len(), 5);
+        assert_eq!(gauges.len(), 4);
         assert_eq!(Metric::Ops.kind(), MetricKind::Counter);
         assert_eq!(Metric::Parked.kind(), MetricKind::Gauge);
     }

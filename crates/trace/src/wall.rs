@@ -33,25 +33,18 @@ pub enum SpanKind {
     SlotSpin,
     /// Parked on the epoch condvar after the spin budget ran out.
     CondvarWait,
-    /// Blocked waiting for a peer promise to advance the safe horizon
-    /// (async sync mode only — the asynchronous analogue of
-    /// `BarrierWait` + `CondvarWait`, which are both zero there).
-    HorizonWait,
     /// Executing guest events below the horizon (the useful work).
     Execute,
 }
 
-/// Number of span kinds (array-indexed accounting). Any single run uses at
-/// most seven: epoch-mode runs never record `HorizonWait`, async-mode runs
-/// never record `BarrierWait` or `CondvarWait` — either way the categories
-/// that do appear tile the thread's wall time exactly.
-pub const SPAN_KINDS: usize = 8;
+/// Number of span kinds (array-indexed accounting); together they tile
+/// the thread's wall time exactly.
+pub const SPAN_KINDS: usize = 7;
 
 /// All kinds, in display order: useful work first, stalls after.
 pub const ALL_SPAN_KINDS: [SpanKind; SPAN_KINDS] = [
     SpanKind::Execute,
     SpanKind::BarrierWait,
-    SpanKind::HorizonWait,
     SpanKind::SlotSpin,
     SpanKind::CondvarWait,
     SpanKind::InboxDrain,
@@ -64,12 +57,11 @@ impl SpanKind {
         match self {
             SpanKind::Execute => 0,
             SpanKind::BarrierWait => 1,
-            SpanKind::HorizonWait => 2,
-            SpanKind::SlotSpin => 3,
-            SpanKind::CondvarWait => 4,
-            SpanKind::InboxDrain => 5,
-            SpanKind::FrameFlush => 6,
-            SpanKind::Decide => 7,
+            SpanKind::SlotSpin => 2,
+            SpanKind::CondvarWait => 3,
+            SpanKind::InboxDrain => 4,
+            SpanKind::FrameFlush => 5,
+            SpanKind::Decide => 6,
         }
     }
 
@@ -77,7 +69,6 @@ impl SpanKind {
         match self {
             SpanKind::Execute => "execute",
             SpanKind::BarrierWait => "barrier_wait",
-            SpanKind::HorizonWait => "horizon_wait",
             SpanKind::SlotSpin => "slot_spin",
             SpanKind::CondvarWait => "condvar_wait",
             SpanKind::InboxDrain => "inbox_drain",
