@@ -70,10 +70,7 @@ fn main() {
                 }
             },
         };
-        // `--classic` pins the pre-predecode enum-decode interpreter for
-        // same-host A/B throughput comparison; rows carry `"predecode"`.
-        let classic = args.iter().any(|a| a == "--classic");
-        let pts = perf::run(smoke, backend, classic);
+        let pts = perf::run(smoke, backend);
         print!("{}", perf::render(&pts));
         let speedup = perf::live_speedup(&pts);
         if let Some(sp) = &speedup {
@@ -131,10 +128,12 @@ fn main() {
     }
 
     if section == "opstats" {
-        // Dynamic opcode/pair frequency profiler: runs one app under the
-        // classic interpreter with retire-counting on and prints the hot
+        // Dynamic opcode/pair frequency profiler: runs one app with the
+        // predecoded executor's retire counting on and prints the hot
         // opcode and hot consecutive-pair tables — the measurement behind
         // the superinstruction selection in jsplit-mjvm's pcode module.
+        // Fused ops count as their source components, so the tables
+        // describe the program, not the fusion.
         // Deterministic (sim backend, counts merged across nodes), so the
         // tables can be committed to EXPERIMENTS.md verbatim.
         let app = args

@@ -35,10 +35,6 @@ use jsplit_trace::{LogHist, SpanKind, TelemetrySummary, WallProfile, ALL_SPAN_KI
 /// One measured workload.
 pub struct PerfPoint {
     pub app: &'static str,
-    /// Whether the run used the predecoded direct-threaded executor (the
-    /// default since the decode-once interpreter landed; `false` would mean
-    /// the classic enum-decode path, kept for A/B measurement).
-    pub predecode: bool,
     /// Host wall-clock for the whole `run_cluster` call (setup + run).
     pub wall_secs: f64,
     /// Interpreted instructions retired across all nodes.
@@ -112,7 +108,7 @@ pub fn workloads(smoke: bool) -> Vec<(&'static str, Program)> {
 /// Run all workloads on the fixed cluster configuration with the given
 /// execution backend. Live runs also measure each workload on a 1-node
 /// cluster for the per-app live speedup.
-pub fn run(smoke: bool, backend: Backend, classic: bool) -> Vec<PerfPoint> {
+pub fn run(smoke: bool, backend: Backend) -> Vec<PerfPoint> {
     let mut out = Vec::new();
     // Both live backends (one OS thread per node / one OS process per
     // node) measure the 1-node denominator for the per-app speedup and
@@ -123,14 +119,12 @@ pub fn run(smoke: bool, backend: Backend, classic: bool) -> Vec<PerfPoint> {
     for (app, p) in workloads(smoke) {
         let mut cfg = ClusterConfig::javasplit(JvmProfile::SunSim, NODES)
             .with_backend(backend)
-            .with_classic_interp(classic)
             .with_profile(backend == Backend::Threads);
         if live {
             // Sample the registry but write no JSONL: the summary
             // (peak/mean rates, lag percentiles) lands in the LIVE rows.
             cfg = cfg.with_metrics(MetricsConfig::default());
         }
-        let cfg_classic = cfg.classic_interp;
         let t0 = Instant::now();
         let mut r = run_clean(cfg, &p);
         let wall = t0.elapsed().as_secs_f64();
@@ -142,7 +136,6 @@ pub fn run(smoke: bool, backend: Backend, classic: bool) -> Vec<PerfPoint> {
         });
         out.push(PerfPoint {
             app,
-            predecode: !cfg_classic,
             wall_secs: wall,
             ops: r.ops,
             ops_per_sec: r.ops as f64 / wall.max(1e-9),
@@ -241,12 +234,11 @@ pub fn to_json(
             _ => String::new(),
         };
         s.push_str(&format!(
-            "    {{\"app\": \"{}\", \"predecode\": {}, \"wall_secs\": {:.3}, \"ops\": {}, \"ops_per_sec\": {:.0}, \
+            "    {{\"app\": \"{}\", \"wall_secs\": {:.3}, \"ops\": {}, \"ops_per_sec\": {:.0}, \
              \"virtual_secs\": {:.6}, \"msgs_sent\": {}, \"event_slab_high_water\": {}{}, \
              \"windows\": {}, \"barrier_waits\": {}, \"frames_sent\": {}, \"msgs_framed\": {}, \
              \"msgs_batched\": {}, \"bytes_per_frame_avg\": {:.1}{}{}}}{}\n",
             p.app,
-            p.predecode,
             p.wall_secs,
             p.ops,
             p.ops_per_sec,
@@ -356,7 +348,6 @@ mod tests {
         let pts = vec![
             PerfPoint {
                 app: "tsp",
-                    predecode: true,
                 wall_secs: 1.5,
                 ops: 1000,
                 ops_per_sec: 666.7,
@@ -370,7 +361,6 @@ mod tests {
             },
             PerfPoint {
                 app: "series",
-                predecode: true,
                 wall_secs: 1.2,
                 ops: 1000,
                 ops_per_sec: 833.3,
@@ -425,7 +415,6 @@ mod tests {
     fn sim_points_omit_live_fields() {
         let pts = vec![PerfPoint {
             app: "series",
-            predecode: true,
             wall_secs: 1.0,
             ops: 10,
             ops_per_sec: 10.0,
@@ -462,7 +451,6 @@ mod tests {
         let wall = WallProfile { nodes: vec![prof] };
         let pts = vec![PerfPoint {
             app: "tsp",
-            predecode: true,
             wall_secs: 1.0,
             ops: 100,
             ops_per_sec: 100.0,

@@ -1,12 +1,21 @@
-//! The resumable MJVM interpreter.
+//! The MJVM execution model and the classic (reference) interpreter.
 //!
-//! One [`step`] call runs a thread for up to `fuel` instructions (a CPU
-//! quantum in the discrete-event scheduler), charging virtual-time costs from
-//! the node's [`CostModel`], until the thread blocks, finishes or exhausts
-//! the quantum. All environment-dependent behaviour — monitors, DSM access
-//! checks, thread spawning, I/O, time — is delegated to a [`VmEnv`], so the
-//! identical interpreter executes the *original* program on the baseline VM
-//! and the *rewritten* program inside the distributed JavaSplit runtime.
+//! This module defines what a thread is ([`Thread`], [`Frame`]), what it
+//! executes against ([`VmEnv`]) and how a quantum ends ([`StepOutcome`]),
+//! plus the helpers both interpreter tiers share (natives, frame pop,
+//! array access). All environment-dependent behaviour — monitors, DSM
+//! access checks, thread spawning, I/O, time — is delegated to a
+//! [`VmEnv`], so the identical interpreter executes the *original* program
+//! on the baseline VM and the *rewritten* program inside the distributed
+//! JavaSplit runtime.
+//!
+//! [`step`] is the classic enum-decode interpreter: it runs a thread for up
+//! to `fuel` instructions, charging virtual-time costs from the node's
+//! [`CostModel`], until the thread blocks, finishes or exhausts the
+//! quantum. Cluster nodes run the predecoded executor
+//! ([`crate::pcode::step`]); classic is the reference semantics that
+//! executor is tested against, run only through
+//! [`LocalVm::classic_interp`](crate::localvm::LocalVm::classic_interp).
 //!
 //! Blocking discipline: instructions that may block come in two styles.
 //!
@@ -257,28 +266,6 @@ macro_rules! pop {
 
 /// Run `thread` for up to `fuel` instructions.
 pub fn step<E: VmEnv>(thread: &mut Thread, ctx: &mut StepCtx<'_, E>, fuel: u32) -> Result<StepOutcome, VmError> {
-    step_inner(thread, ctx, fuel, None)
-}
-
-/// [`step`], additionally counting every retired opcode (and consecutive
-/// pair) into `stats` — the `repro opstats` profiler. The pair chain
-/// resets at each quantum so the table is independent of scheduling.
-pub fn step_with_stats<E: VmEnv>(
-    thread: &mut Thread,
-    ctx: &mut StepCtx<'_, E>,
-    fuel: u32,
-    stats: &mut crate::opstats::OpStats,
-) -> Result<StepOutcome, VmError> {
-    stats.reset_chain();
-    step_inner(thread, ctx, fuel, Some(stats))
-}
-
-fn step_inner<E: VmEnv>(
-    thread: &mut Thread,
-    ctx: &mut StepCtx<'_, E>,
-    fuel: u32,
-    mut stats: Option<&mut crate::opstats::OpStats>,
-) -> Result<StepOutcome, VmError> {
     let mut cost: u64 = 0;
     let mut ops: u64 = 0;
     let model = ctx.cost;
@@ -323,9 +310,6 @@ fn step_inner<E: VmEnv>(
 
         ops += 1;
         cost += model.static_cost(ins);
-        if let Some(stats) = stats.as_deref_mut() {
-            stats.retire(ins.mnemonic());
-        }
 
         // The inline access cache is copied out of the thread before `frame`
         // mutably borrows it, and written back after the dispatch — arms that

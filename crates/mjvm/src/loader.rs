@@ -150,6 +150,16 @@ impl Image {
         self.name_to_class.get(name).copied()
     }
 
+    /// The rewriter's `C_static` singletons (§4.2): (class, static slot of
+    /// its statics holder, companion class) for every class that has one.
+    pub fn statics_holders(&self) -> impl Iterator<Item = (ClassId, u16, ClassId)> + '_ {
+        self.classes.iter().filter_map(|rc| {
+            let slot = rc.static_names.iter().position(|n| &**n == crate::stdlib::STATICS_HOLDER)?;
+            let comp = self.class_id(&format!("{}{}", rc.name, crate::stdlib::STATIC_SUFFIX));
+            Some((rc.id, slot as u16, comp.expect("companion class exists")))
+        })
+    }
+
     /// Resolve a class by its original name *or* its rewritten
     /// `javasplit.`-prefixed name — runtime components that must find
     /// bootstrap classes (Thread, String, JSRuntime) work against both

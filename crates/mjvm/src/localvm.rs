@@ -226,7 +226,9 @@ pub struct LocalVm {
     /// Hard cap on retired instructions (runaway-program guard in tests).
     pub max_ops: u64,
     /// Use the classic enum-dispatch interpreter instead of the predecoded
-    /// executor (the differential suites run both and compare).
+    /// executor. This is the only way to run [`interp::step`]: the
+    /// differential tests run both tiers and compare output, virtual time
+    /// and retired-op counts.
     pub classic_interp: bool,
 }
 
@@ -236,23 +238,28 @@ impl LocalVm {
         if let Err(errs) = verifier::verify_program(program, VerifyOptions::ORIGINAL) {
             panic!("program failed verification: {}", errs[0]);
         }
-        Self::new_unverified(program, model, VerifyOptions::ORIGINAL)
+        Self::new_unverified(program, model)
     }
 
-    /// Load without the original-code policy (used by tests that run
-    /// rewriter output on a single node).
+    /// Load rewriter output, verified under the rewritten-code policy (used
+    /// by tests that run it on a single node). Every statics holder points
+    /// at a fresh companion instance: the single-node form of the cluster's
+    /// `C_static` singleton bootstrap (§4.2), with nobody to share it with.
     pub fn new_rewritten(program: &crate::class::Program, model: &'static CostModel) -> Result<LocalVm, LoadError> {
         if let Err(errs) = verifier::verify_program(program, VerifyOptions::REWRITTEN) {
             panic!("program failed verification: {}", errs[0]);
         }
-        Self::new_unverified(program, model, VerifyOptions::REWRITTEN)
+        let mut vm = Self::new_unverified(program, model)?;
+        let image = vm.image.clone();
+        for (class, slot, comp) in image.statics_holders() {
+            let zeros = image.class(comp).zeroed_fields();
+            let singleton = vm.heap.alloc_object(comp, zeros.len(), zeros);
+            vm.heap.set_static(class, slot, Value::Ref(singleton));
+        }
+        Ok(vm)
     }
 
-    fn new_unverified(
-        program: &crate::class::Program,
-        model: &'static CostModel,
-        _opts: VerifyOptions,
-    ) -> Result<LocalVm, LoadError> {
+    fn new_unverified(program: &crate::class::Program, model: &'static CostModel) -> Result<LocalVm, LoadError> {
         let image = Arc::new(Image::load(program)?);
         let pimage = Arc::new(pcode::predecode(&image, model));
         let mut heap = Heap::new();
@@ -338,7 +345,7 @@ impl LocalVm {
                 if self.classic_interp {
                     interp::step(&mut thread, &mut ctx, QUANTUM)
                 } else {
-                    pcode::step(&mut thread, &mut ctx, &pimage, QUANTUM)
+                    pcode::step(&mut thread, &mut ctx, &pimage, QUANTUM, None)
                 }
             };
 

@@ -1,4 +1,4 @@
-//! Predecoded (direct-threaded) method bodies.
+//! Predecoded (direct-threaded) method bodies: the production interpreter.
 //!
 //! [`Image::load`] already quickens symbolic operands to dense indices, but
 //! the classic interpreter still pattern-matches the ~115-variant [`Instr`]
@@ -8,9 +8,10 @@
 //! [`MicroOp`]s: operands resolved to raw indices, every statically-known
 //! virtual-time cost folded into the op, and the dominant dynamic pairs
 //! fused into superinstructions. [`step`] is the direct-threaded executor
-//! over that array; it must be observationally identical to
-//! [`interp::step`] — same output, same virtual time, same ops count, same
-//! quantum boundaries, same traps — which the differential suites assert.
+//! over that array and the only tier cluster nodes run. It must be
+//! observationally identical to the classic [`interp::step`] — same
+//! output, same virtual time, same ops count, same quantum boundaries,
+//! same traps — which the differential suites assert.
 //!
 //! ## Micro-op format
 //!
@@ -58,6 +59,7 @@ use crate::interp::{
     MonOutcome, NativeFlow, StepCtx, StepOutcome, StepState, Thread, VmEnv, VmError, NO_ACCESS,
 };
 use crate::loader::{ClassId, Image, MethodId, SigId};
+use crate::opstats::OpStats;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -689,9 +691,50 @@ pub fn predecode(image: &Image, model: &CostModel) -> PImage {
 
 // ---- the direct-threaded executor ----
 
+/// The executor's retire hook, told each retired source instruction's
+/// [`Instr::mnemonic`] in program order. `ON` is a constant, so for `()`
+/// every call site folds away and the production loop is uninstrumented.
+trait Retire {
+    const ON: bool;
+    fn retire(&mut self, m: &'static str);
+}
+
+impl Retire for () {
+    const ON: bool = false;
+    fn retire(&mut self, _: &'static str) {}
+}
+
+impl Retire for OpStats {
+    const ON: bool = true;
+    fn retire(&mut self, m: &'static str) {
+        OpStats::retire(self, m)
+    }
+}
+
 /// Run `thread` for up to `fuel` instructions over the predecoded image.
 ///
-/// Observationally identical to [`crate::interp::step`], but decode-free:
+/// With `stats` (the `repro opstats` profiler), a separately compiled copy
+/// of the loop also counts every retired instruction: a superinstruction
+/// retires each component in program order, and the pair chain resets at
+/// the start of each quantum — exactly the classic interpreter's counts.
+pub fn step<E: VmEnv>(
+    thread: &mut Thread,
+    ctx: &mut StepCtx<'_, E>,
+    pim: &PImage,
+    fuel: u32,
+    stats: Option<&mut OpStats>,
+) -> Result<StepOutcome, VmError> {
+    match stats {
+        None => exec(thread, ctx, pim, fuel, &mut ()),
+        Some(stats) => {
+            stats.reset_chain();
+            exec(thread, ctx, pim, fuel, stats)
+        }
+    }
+}
+
+/// The loop behind [`step`]: observationally identical to
+/// [`crate::interp::step`], but decode-free:
 /// one dispatch loop over 16-byte micro-ops, with the current frame
 /// re-borrowed per iteration. The per-iteration borrow is what keeps
 /// *every* op — including the environment ops that need whole-thread
@@ -700,11 +743,12 @@ pub fn predecode(image: &Image, model: &CostModel) -> PImage {
 /// Figure-3 path (check hits, cached accesses) never pays a loop-exit or
 /// re-entry. Only arms that change the frame stack (calls, returns) jump
 /// back to `'quantum` to re-pin the method and code slice.
-pub fn step<E: VmEnv>(
+fn exec<E: VmEnv, R: Retire>(
     thread: &mut Thread,
     ctx: &mut StepCtx<'_, E>,
     pim: &PImage,
     fuel: u32,
+    rt: &mut R,
 ) -> Result<StepOutcome, VmError> {
     let fuel = fuel as u64;
     let mut cost: u64 = 0;
@@ -832,12 +876,23 @@ pub fn step<E: VmEnv>(
                     };
                 }
 
+                // Retire component `k` of the op at `pc`: count it and tell
+                // the hook its source instruction, `method.code[pc + k]`
+                // (fusion is position-preserving).
+                macro_rules! retire {
+                    ($k:expr) => {
+                        ops += 1;
+                        if R::ON {
+                            rt.retire(method.code[pc + $k].mnemonic());
+                        }
+                    };
+                }
                 // Retire the op: count it and charge its precomputed static
                 // cost (dynamic components are added per-arm below), exactly
                 // like the classic `ops += 1; cost += static_cost(ins)`.
                 macro_rules! charge {
                     () => {
-                        ops += 1;
+                        retire!(0);
                         cost += op.c as u64;
                     };
                 }
@@ -1518,8 +1573,11 @@ pub fn step<E: VmEnv>(
                         frame.pc = pc + 1;
                     }
                     MOp::Unquick => {
-                        // Trap; the caller discards cost/ops on Err, so no
-                        // charge is observable.
+                        // Trap: the caller discards cost/ops on Err, but the
+                        // profiler counts the op, as classic did.
+                        if R::ON {
+                            rt.retire(method.code[pc].mnemonic());
+                        }
                         return Err(VmError::Unquickened(pim.strings[op.a as usize].to_string()));
                     }
 
@@ -1534,7 +1592,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: GetField (static cost 0)
+                        retire!(1); // component 2: GetField (static cost 0)
                         let r = nonnull!(frame.locals[op.x as usize], pc + 1);
                         let kind = kind_from(op.t);
                         let key = access_key(kind, r.0, op.a);
@@ -1555,7 +1613,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: ArrayLen (same generic cost)
+                        retire!(1); // component 2: ArrayLen (same generic cost)
                         cost += op.c as u64;
                         let r = nonnull!(frame.locals[op.x as usize], pc + 1);
                         let len = match ctx.heap.get(r).payload.array_len() {
@@ -1576,7 +1634,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: ALoad (static cost 0)
+                        retire!(1); // component 2: ALoad (static cost 0)
                         let idx = frame.locals[op.x as usize].as_i32();
                         let r = match frame.stack.pop() {
                             Some(v) => nonnull!(v, pc + 1),
@@ -1604,7 +1662,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: IfI (same generic cost)
+                        retire!(1); // component 2: IfI (same generic cost)
                         cost += op.c as u64;
                         frame.pc =
                             if cmp_from(op.t).eval_i32(cv, 0) { op.a as usize } else { pc + 2 };
@@ -1619,7 +1677,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: IfI (same generic cost)
+                        retire!(1); // component 2: IfI (same generic cost)
                         cost += op.c as u64;
                         frame.pc =
                             if cmp_from(op.t).eval_i32(cv, 0) { op.a as usize } else { pc + 2 };
@@ -1632,7 +1690,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: Goto (same generic cost)
+                        retire!(1); // component 2: Goto (same generic cost)
                         cost += op.c as u64;
                         frame.pc = op.b as usize;
                     }
@@ -1651,7 +1709,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: Load a (same generic cost)
+                        retire!(1); // component 2: Load a (same generic cost)
                         cost += op.c as u64;
                         frame.stack.push(frame.locals[op.a as usize]);
                         frame.pc = pc + 2;
@@ -1663,7 +1721,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: CheckRead (check cost in b)
+                        retire!(1); // component 2: CheckRead (check cost in b)
                         cost += op.b as u64;
                         let slot = match frame.stack.len().checked_sub(1 + op.t as usize) {
                             Some(s) => s,
@@ -1719,7 +1777,7 @@ pub fn step<E: VmEnv>(
                             f.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: GetField (static cost 0, cache-cold)
+                        retire!(1); // component 2: GetField (static cost 0, cache-cold)
                         let r = nonnull!(vpop!(f, pc + 1), pc + 1);
                         let kind = kind_from(op.t);
                         let key = access_key(kind, r.0, op.x as u32);
@@ -1740,7 +1798,7 @@ pub fn step<E: VmEnv>(
                             frame.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: CheckRead depth 0 (check cost in a)
+                        retire!(1); // component 2: CheckRead depth 0 (check cost in a)
                         cost += op.a as u64;
                         let obj = nonnull!(frame.locals[op.x as usize], pc + 1);
                         last_access = NO_ACCESS;
@@ -1761,7 +1819,7 @@ pub fn step<E: VmEnv>(
                             f.pc = pc + 2;
                             continue;
                         }
-                        ops += 1; // component 3: GetField (static cost 0, cache-cold)
+                        retire!(2); // component 3: GetField (static cost 0, cache-cold)
                         let r = nonnull!(f.locals[op.x as usize], pc + 2);
                         let kind = kind_from(op.t & 0xf);
                         let key = access_key(kind, r.0, op.b);
@@ -1804,7 +1862,7 @@ pub fn step<E: VmEnv>(
                             f.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: ALoad (static cost 0, cache-cold)
+                        retire!(1); // component 2: ALoad (static cost 0, cache-cold)
                         let idx = vpop!(f, pc + 1).as_i32();
                         let r = nonnull!(vpop!(f, pc + 1), pc + 1);
                         let key = access_key(AccessKind::Array, r.0, idx as u32);
@@ -1851,7 +1909,7 @@ pub fn step<E: VmEnv>(
                             f.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: PutField (static cost 0, cache-cold)
+                        retire!(1); // component 2: PutField (static cost 0, cache-cold)
                         let v = vpop!(f, pc + 1);
                         let r = nonnull!(vpop!(f, pc + 1), pc + 1);
                         let kind = kind_from(op.t);
@@ -1894,7 +1952,7 @@ pub fn step<E: VmEnv>(
                             f.pc = pc + 1;
                             continue;
                         }
-                        ops += 1; // component 2: AStore (static cost 0, cache-cold)
+                        retire!(1); // component 2: AStore (static cost 0, cache-cold)
                         let v = vpop!(f, pc + 1);
                         let idx = vpop!(f, pc + 1).as_i32();
                         let r = nonnull!(vpop!(f, pc + 1), pc + 1);

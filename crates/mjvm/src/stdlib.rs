@@ -25,6 +25,11 @@ pub const VECTOR: &str = "java.util.Vector";
 pub const VFILE: &str = "java.io.VFile";
 /// Runtime support class holding the thread-exit trampoline.
 pub const JSRUNTIME: &str = "java.lang.JSRuntime";
+/// Name of the constant static field through which rewritten code reaches
+/// a class's `C_static` instance (paper §4.2).
+pub const STATICS_HOLDER: &str = "__javasplit__statics__";
+/// Suffix of the rewriter's synthesized statics-companion classes.
+pub const STATIC_SUFFIX: &str = "_static";
 
 /// Build all bootstrap classes.
 pub fn stdlib_classes() -> Vec<ClassFile> {

@@ -41,7 +41,8 @@ pub const MAGIC: u32 = 0x4A53_504C;
 /// `Metrics` and `Fault` envelopes added.
 /// v3: the async-sync envelopes (tags 9–12) and the config's sync byte are
 /// gone.
-pub const VERSION: u16 = 3;
+/// v4: the config's interpreter byte is gone.
+pub const VERSION: u16 = 4;
 /// `Hello.node_id` value asking the coordinator to assign one.
 pub const ANY_NODE: u16 = u16::MAX;
 /// Upper bound on a single envelope body (corrupt-stream guard).

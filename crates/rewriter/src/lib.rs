@@ -44,8 +44,4 @@ pub use serial::{ClassSerializer, SerializerRegistry};
 /// Package prefix for rewritten classes (paper §4: `javasplit.mypackage.MyClass`).
 pub const JS_PREFIX: &str = "javasplit.";
 
-/// Name of the constant static field holding a class's `C_static` instance.
-pub const STATICS_HOLDER: &str = "__javasplit__statics__";
-
-/// Suffix of synthesized statics-companion classes.
-pub const STATIC_SUFFIX: &str = "_static";
+pub use jsplit_mjvm::stdlib::{STATICS_HOLDER, STATIC_SUFFIX};

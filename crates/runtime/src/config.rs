@@ -155,15 +155,11 @@ pub struct ClusterConfig {
     pub metrics: Option<MetricsConfig>,
     /// Sockets-backend deployment knobs (ignored by the other backends).
     pub sockets: SocketsConfig,
-    /// Run the classic enum-dispatch interpreter instead of the predecoded
-    /// direct-threaded executor. Results are bit-identical either way (the
-    /// differential suites assert it); the classic path exists as the
-    /// semantic reference and for A/B measurement.
-    pub classic_interp: bool,
     /// Count retired opcodes and consecutive pairs per node (the `repro
-    /// opstats` profiler). Forces the classic interpreter (the counter
-    /// hooks live there) and costs a hash-map update per instruction, so
-    /// off by default.
+    /// opstats` profiler) into `RunReport::opstats`. Runs the counting copy
+    /// of the predecoded executor, which costs a hash-map update per
+    /// instruction, so off by default; virtual-time results are identical
+    /// either way. Sim backend only: the live backends reject it.
     pub opstats: bool,
     /// Per-object DSM sharing profiler: attribute every coherence event to
     /// its base `Gid`, classify sharing patterns, and rank home-migration
@@ -173,12 +169,13 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// The paper's "Original" configuration: one node, `cpus` CPUs.
-    pub fn baseline(profile: JvmProfile, cpus: usize) -> ClusterConfig {
+    /// Every field at its default, for `nodes` of `mode` with `cpus_per_node`
+    /// CPUs each — the one place the full field list is spelled out.
+    pub(crate) fn with_nodes(mode: Mode, nodes: Vec<NodeSpec>, cpus_per_node: usize) -> ClusterConfig {
         ClusterConfig {
-            mode: Mode::Baseline,
-            nodes: vec![NodeSpec { profile }],
-            cpus_per_node: cpus,
+            mode,
+            nodes,
+            cpus_per_node,
             protocol: ProtocolMode::MtsHlrc,
             balancer: Balancer::LeastLoaded,
             fuel: 4096,
@@ -191,58 +188,24 @@ impl ClusterConfig {
             backend: Backend::default(),
             metrics: None,
             sockets: SocketsConfig::default(),
-            classic_interp: false,
             opstats: false,
             objprof: false,
         }
+    }
+
+    /// The paper's "Original" configuration: one node, `cpus` CPUs.
+    pub fn baseline(profile: JvmProfile, cpus: usize) -> ClusterConfig {
+        ClusterConfig::with_nodes(Mode::Baseline, vec![NodeSpec { profile }], cpus)
     }
 
     /// A homogeneous JavaSplit cluster of `n` dual-CPU nodes.
     pub fn javasplit(profile: JvmProfile, n: usize) -> ClusterConfig {
-        ClusterConfig {
-            mode: Mode::JavaSplit,
-            nodes: (0..n).map(|_| NodeSpec { profile }).collect(),
-            cpus_per_node: 2,
-            protocol: ProtocolMode::MtsHlrc,
-            balancer: Balancer::LeastLoaded,
-            fuel: 4096,
-            max_ops: u64::MAX,
-            joins: Vec::new(),
-            disable_local_locks: false,
-            array_chunk: None,
-            trace: None,
-            profile: false,
-            backend: Backend::default(),
-            metrics: None,
-            sockets: SocketsConfig::default(),
-            classic_interp: false,
-            opstats: false,
-            objprof: false,
-        }
+        ClusterConfig::heterogeneous(vec![NodeSpec { profile }; n])
     }
 
     /// A heterogeneous cluster from explicit specs.
     pub fn heterogeneous(nodes: Vec<NodeSpec>) -> ClusterConfig {
-        ClusterConfig {
-            mode: Mode::JavaSplit,
-            nodes,
-            cpus_per_node: 2,
-            protocol: ProtocolMode::MtsHlrc,
-            balancer: Balancer::LeastLoaded,
-            fuel: 4096,
-            max_ops: u64::MAX,
-            joins: Vec::new(),
-            disable_local_locks: false,
-            array_chunk: None,
-            trace: None,
-            profile: false,
-            backend: Backend::default(),
-            metrics: None,
-            sockets: SocketsConfig::default(),
-            classic_interp: false,
-            opstats: false,
-            objprof: false,
-        }
+        ClusterConfig::with_nodes(Mode::JavaSplit, nodes, 2)
     }
 
     pub fn with_array_chunk(mut self, elems: u32) -> Self {
@@ -304,12 +267,6 @@ impl ClusterConfig {
     /// Configure the sockets backend's deployment knobs.
     pub fn with_sockets(mut self, sockets: SocketsConfig) -> Self {
         self.sockets = sockets;
-        self
-    }
-
-    /// Run on the classic enum-dispatch interpreter (A/B reference path).
-    pub fn with_classic_interp(mut self, on: bool) -> Self {
-        self.classic_interp = on;
         self
     }
 

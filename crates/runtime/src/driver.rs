@@ -2,29 +2,34 @@
 //!
 //! A driver takes the prepared program, builds one [`NodeRuntime`] per
 //! worker, and executes the [`Effect`](crate::node::Effect) streams the
-//! nodes emit against a [`Transport`]. Two drivers exist:
+//! nodes emit against a [`Transport`]. Three drivers exist, each with an
+//! inherent `new`/`run` pair that [`run_cluster`](crate::exec::run_cluster)
+//! dispatches on:
 //!
 //! * [`Cluster`](crate::exec::Cluster) — the discrete-event virtual-time
 //!   simulator over [`jsplit_net::Network`]: one global event queue, fully
 //!   deterministic, the *reference semantics* of the reproduction.
 //! * [`ThreadsDriver`](crate::threads::ThreadsDriver) — each node on its
 //!   own OS thread over [`jsplit_net::ChannelEndpoint`]s, encoded bytes
-//!   crossing the channels, virtual time advanced in conservative windows.
+//!   crossing the channels, virtual time advanced in epoch rounds.
+//! * [`SocketsDriver`](crate::sockets::SocketsDriver) — each node in its
+//!   own OS process over localhost TCP, the same epoch rounds; its `run`
+//!   returns a `Result` because a worker can fail.
 //!
-//! This module holds the preparation steps both share: program rewrite and
-//! image load, the class-file broadcast (the one helper behind every
+//! This module holds the preparation steps all three share: program
+//! rewrite and image load, the configuration checks of the two live
+//! backends, the class-file broadcast (the one helper behind every
 //! bootstrap path), and the `C_static` singleton bootstrap of §4.2.
 
 use crate::config::{ClusterConfig, Mode, NodeSpec};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
-use crate::report::RunReport;
 use jsplit_mjvm::class::{Program, Sig};
 use jsplit_mjvm::heap::Gid;
 use jsplit_mjvm::loader::{ClassId, Image, LoadError, MethodId};
 use jsplit_mjvm::{stdlib, Value};
 use jsplit_net::{LinkParams, MsgKind, NodeId, Transport};
-use jsplit_rewriter::{RewriteError, RewriteStats, STATICS_HOLDER};
+use jsplit_rewriter::{RewriteError, RewriteStats};
 use std::sync::Arc;
 
 /// Errors preparing a cluster run.
@@ -47,9 +52,21 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// A backend runs a prepared cluster to completion.
-pub trait Driver: Sized {
-    fn run(self) -> RunReport;
+/// Reject the configuration surface only the sim driver honours, for a
+/// live backend named `backend`: mid-run joins, and the opstats profiler
+/// (whose per-node counters have no berth in the live drivers' reports).
+pub fn check_live(config: &ClusterConfig, backend: &str) -> Result<(), ClusterError> {
+    if !config.joins.is_empty() {
+        return Err(ClusterError::Config(format!(
+            "the {backend} backend does not support mid-run joins; use the sim backend"
+        )));
+    }
+    if config.opstats {
+        return Err(ClusterError::Config(format!(
+            "the {backend} backend does not support opstats counting; use the sim backend"
+        )));
+    }
+    Ok(())
 }
 
 /// Everything both drivers derive from the program before any node exists.
@@ -123,19 +140,14 @@ pub type SingletonSpec = (ClassId, u16, Gid, ClassId);
 /// constant holder slot with a (placeholder) local copy (§4.2).
 pub fn bootstrap_statics(nodes: &mut [NodeRuntime], image: &Arc<Image>) {
     let mut singletons: Vec<SingletonSpec> = Vec::new();
-    for rc in &image.classes {
-        let Some(slot) = rc.static_names.iter().position(|n| &**n == STATICS_HOLDER) else {
-            continue;
-        };
-        let comp_name = format!("{}{}", rc.name, jsplit_rewriter::STATIC_SUFFIX);
-        let comp = image.class_id(&comp_name).expect("companion class exists");
+    for (class, slot, comp) in image.statics_holders() {
         // Master on worker 0.
         let w0 = &mut nodes[0];
         let zeros = image.class(comp).zeroed_fields();
         let master = w0.heap.alloc_object(comp, zeros.len(), zeros);
         let gid = w0.env.js().dsm.share_object(&mut w0.heap, master);
-        w0.heap.set_static(rc.id, slot as u16, Value::Ref(master));
-        singletons.push((rc.id, slot as u16, gid, comp));
+        w0.heap.set_static(class, slot, Value::Ref(master));
+        singletons.push((class, slot, gid, comp));
     }
     for w in nodes.iter_mut().skip(1) {
         install_singletons(w, image, &singletons);
@@ -146,15 +158,12 @@ pub fn bootstrap_statics(nodes: &mut [NodeRuntime], image: &Arc<Image>) {
 /// mid-run joiner needs the same installs the initial pool got).
 pub fn singleton_specs(node0: &mut NodeRuntime, image: &Arc<Image>) -> Vec<SingletonSpec> {
     image
-        .classes
-        .iter()
-        .filter_map(|rc| {
-            let slot = rc.static_names.iter().position(|n| &**n == STATICS_HOLDER)?;
-            let Value::Ref(master) = node0.heap.get_static(rc.id, slot as u16) else {
+        .statics_holders()
+        .filter_map(|(class, slot, comp)| {
+            let Value::Ref(master) = node0.heap.get_static(class, slot) else {
                 return None;
             };
-            let gid = node0.heap.get(master).dsm.gid?;
-            Some((rc.id, slot as u16, gid, node0.heap.get(master).class))
+            Some((class, slot, node0.heap.get(master).dsm.gid?, comp))
         })
         .collect()
 }

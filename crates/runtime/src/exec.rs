@@ -13,7 +13,7 @@
 
 use crate::balance::{BalancerState, LoadBalancer};
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec};
-use crate::driver::{self, Driver, Prepared};
+use crate::driver::{self, Prepared};
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
 use crate::report::RunReport;
@@ -495,12 +495,6 @@ impl Cluster {
             opstats,
             objprof,
         }
-    }
-}
-
-impl Driver for Cluster {
-    fn run(self) -> RunReport {
-        Cluster::run(self)
     }
 }
 

@@ -7,18 +7,20 @@
 //!   sense (paper §2): its heap, its MTS-HLRC engine, its interpreter
 //!   threads and two virtual CPUs. It communicates only through an ordered
 //!   stream of effects (local events, protocol sends, thread ships).
-//! * A [`driver::Driver`] owns time and message delivery.
-//!   [`exec::Cluster`] is the reference **sim** driver: one deterministic
-//!   discrete-event scheduler whose virtual time advances by the
-//!   per-instruction costs of each node's JVM-brand cost model and by the
-//!   simulated network's message latencies. [`threads::ThreadsDriver`]
-//!   runs each node on its own OS thread under a conservative
-//!   barrier-windowed lookahead loop, shipping every protocol message as
-//!   encoded bytes over channels — same stdout, same virtual time, same
-//!   protocol counters, plus real parallel wall-clock speedup.
+//! * A driver owns time and message delivery; [`driver`] holds the setup
+//!   all three share. [`exec::Cluster`] is the reference **sim** driver:
+//!   one deterministic discrete-event scheduler whose virtual time
+//!   advances by the per-instruction costs of each node's JVM-brand cost
+//!   model and by the simulated network's message latencies.
+//!   [`threads::ThreadsDriver`] runs each node on its own OS thread under
+//!   conservative epoch rounds, shipping every protocol message as encoded
+//!   bytes over channels — same stdout, same virtual time, same protocol
+//!   counters, plus real parallel wall-clock speedup.
+//!   [`sockets::SocketsDriver`] runs the same rounds with one OS process
+//!   per node over localhost TCP.
 //! * The `Transport` trait (`jsplit-net`) abstracts the wire: the
-//!   virtual-time `Network` for sim, a mesh of channel endpoints for
-//!   threads.
+//!   virtual-time `Network` for sim, channel or TCP endpoints for the live
+//!   backends.
 //!
 //! Two execution modes:
 //!
@@ -50,7 +52,7 @@ pub mod threads;
 
 pub use balance::{Balancer, LoadBalancer};
 pub use config::{Backend, ClusterConfig, MetricsConfig, Mode, NodeSpec};
-pub use driver::{ClusterError, Driver};
+pub use driver::ClusterError;
 pub use exec::Cluster;
 pub use node::NodeRuntime;
 pub use report::{RunReport, SyncStats};

@@ -20,7 +20,7 @@ use jsplit_dsm::node::Action;
 use jsplit_dsm::{DsmConfig, DsmNode, Msg};
 use jsplit_mjvm::cost::CostModel;
 use jsplit_mjvm::heap::{Heap, ObjRef, ThreadUid};
-use jsplit_mjvm::interp::{self, Frame, StepCtx, StepState, Thread, VmError};
+use jsplit_mjvm::interp::{Frame, StepCtx, StepState, Thread, VmError};
 use jsplit_mjvm::loader::{ClassId, Image};
 use jsplit_mjvm::opstats::OpStats;
 use jsplit_mjvm::pcode::{self, PImage};
@@ -106,10 +106,10 @@ pub struct NodeRuntime {
     pub spawned_here: u32,
     fuel: u32,
     tracing: bool,
-    /// Predecoded bodies for this node's cost model (`None` = classic
-    /// enum-dispatch interpreter, the A/B reference path).
-    pimage: Option<Arc<PImage>>,
-    /// Opcode/pair frequency counters (`repro opstats`); forces classic.
+    /// Predecoded bodies for this node's cost model.
+    pimage: Arc<PImage>,
+    /// Opcode/pair frequency counters (`repro opstats`): when set, every
+    /// quantum runs the counting copy of the predecoded executor.
     opstats: Option<Box<OpStats>>,
 }
 
@@ -147,11 +147,9 @@ impl NodeRuntime {
             }
         }
         // The micro-op image bakes in this node's cost model, so it is
-        // per-node even though the loaded image is shared. Profiling runs
-        // stay on the classic interpreter, where the counter hooks live.
+        // per-node even though the loaded image is shared.
+        let pimage = Arc::new(pcode::predecode(&image, model));
         let opstats = config.opstats.then(|| Box::new(OpStats::default()));
-        let pimage = (!config.classic_interp && opstats.is_none())
-            .then(|| Arc::new(pcode::predecode(&image, model)));
         NodeRuntime {
             id,
             model,
@@ -419,13 +417,7 @@ impl NodeRuntime {
             let model = self.model;
             let step = {
                 let mut ctx = StepCtx { image: &self.image, heap: &mut self.heap, env: &mut self.env, cost: model };
-                if let Some(pim) = &self.pimage {
-                    pcode::step(th, &mut ctx, pim, fuel)
-                } else if let Some(stats) = self.opstats.as_deref_mut() {
-                    interp::step_with_stats(th, &mut ctx, fuel, stats)
-                } else {
-                    interp::step(th, &mut ctx, fuel)
-                }
+                pcode::step(th, &mut ctx, &self.pimage, fuel, self.opstats.as_deref_mut())
             };
             match step {
                 Ok(o) => {

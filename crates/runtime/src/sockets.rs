@@ -45,15 +45,16 @@
 //! tail, so the coordinator reports the real cause instead of a bare
 //! connection drop.
 //!
-//! Restrictions vs the threads backend: no mid-run joins, no tracing, no
-//! wall profiling (those merge per-node in-memory buffers; over sockets
-//! they would need their own wire format). Virtual-time results — stdout,
+//! Restrictions vs the threads backend: no tracing, no wall profiling
+//! (those merge per-node in-memory buffers; over sockets they would need
+//! their own wire format). Like threads, no mid-run joins and no opstats
+//! counting. Virtual-time results — stdout,
 //! `exec_time_ps`, `NetStats`, `DsmStats` — are bit-identical to the sim
 //! and threads backends (asserted by the differential tests in
 //! `tests/sockets.rs`).
 
 use crate::balance::{Balancer, BalancerState};
-use crate::config::{Backend, ClusterConfig, Mode, NodeSpec, SocketsConfig};
+use crate::config::{Backend, ClusterConfig, Mode, NodeSpec};
 use crate::driver::{self, ClusterError, Prepared};
 use crate::engine::{EpochPeers, EpochSlot, Horizons, SyncEngine};
 use crate::env::CONSOLE_NODE;
@@ -129,7 +130,6 @@ fn encode_wire_config(cfg: &ClusterConfig) -> Vec<u8> {
             w.u8(1).u32(c);
         }
     }
-    w.u8(cfg.classic_interp as u8);
     w.into_inner()
 }
 
@@ -175,33 +175,21 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
         0 => None,
         _ => Some(r.u32()?),
     };
-    let classic_interp = r.u8()? != 0;
     if r.remaining() != 0 {
         return Err(CodecError("trailing bytes after config"));
     }
+    // Everything else stays at its default: `objprof` is armed via
+    // `Welcome { flags }`, not the hashed wire config (the profiler never
+    // changes virtual-time results), and the coordinator rejects opstats.
     Ok(ClusterConfig {
-        mode,
-        nodes,
-        cpus_per_node,
         protocol,
         balancer,
         fuel,
         max_ops,
-        joins: Vec::new(),
         disable_local_locks,
         array_chunk,
-        trace: None,
-        profile: false,
         backend: Backend::Sockets,
-        metrics: None,
-        sockets: SocketsConfig::default(),
-        classic_interp,
-        // Per-node profiling counters have no berth in the worker report;
-        // opstats runs use the sim backend.
-        opstats: false,
-        // Armed via `Welcome { flags }`, not the hashed wire config — the
-        // profiler never changes virtual-time results.
-        objprof: false,
+        ..ClusterConfig::with_nodes(mode, nodes, cpus_per_node)
     })
 }
 
@@ -886,11 +874,7 @@ pub struct SocketsDriver {
 
 impl SocketsDriver {
     pub fn new(config: ClusterConfig, program: &jsplit_mjvm::class::Program) -> Result<SocketsDriver, ClusterError> {
-        if !config.joins.is_empty() {
-            return Err(ClusterError::Config(
-                "the sockets backend does not support mid-run joins; use the sim backend".into(),
-            ));
-        }
+        driver::check_live(&config, "sockets")?;
         if config.trace.is_some() || config.profile {
             return Err(ClusterError::Config(
                 "the sockets backend does not support tracing/profiling; use the threads backend".into(),

@@ -36,12 +36,13 @@
 //! spin / condvar / execute), so the span categories tile each thread's
 //! wall time exactly; disabled runs pay one `Option` branch per site.
 //!
-//! Restrictions vs the sim driver: no mid-run joins, and the `max_ops`
-//! abort guard is enforced at window granularity rather than per event.
+//! Restrictions vs the sim driver: no mid-run joins, no opstats counting,
+//! and the `max_ops` abort guard is enforced at window granularity rather
+//! than per event.
 
 use crate::balance::BalancerState;
 use crate::config::{ClusterConfig, Mode};
-use crate::driver::{self, ClusterError, Driver, Prepared};
+use crate::driver::{self, ClusterError, Prepared};
 use crate::engine::{make_node_sink, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
 use crate::env::CONSOLE_NODE;
 use crate::node::NodeRuntime;
@@ -191,9 +192,7 @@ impl ThreadsDriver {
     /// runtimes, ship classes, bootstrap statics — the same setup sequence
     /// as the sim driver, against the channel transport.
     pub fn new(config: ClusterConfig, program: &jsplit_mjvm::class::Program) -> Result<ThreadsDriver, ClusterError> {
-        if !config.joins.is_empty() {
-            return Err(ClusterError::Config("the threads backend does not support mid-run joins; use the sim backend".into()));
-        }
+        driver::check_live(&config, "threads")?;
         let prepared = driver::prepare(&config, program)?;
         let links: Vec<_> = config.nodes.iter().map(|s| driver::link_params(*s)).collect();
         // The loopback bound is profile-derived and must sit below every
@@ -416,12 +415,6 @@ impl ThreadsDriver {
             opstats: None,
             objprof,
         }
-    }
-}
-
-impl Driver for ThreadsDriver {
-    fn run(self) -> RunReport {
-        ThreadsDriver::run(self)
     }
 }
 

@@ -298,3 +298,19 @@ fn threads_backend_rejects_mid_run_joins() {
         Ok(_) => panic!("mid-run joins must be rejected"),
     }
 }
+
+/// The opstats counters have no berth in the threads report: asking for
+/// them must fail up front, not run and come back with `opstats: None`.
+#[test]
+fn threads_backend_rejects_opstats() {
+    let (_, p) = apps().swap_remove(0);
+    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 2).with_backend(Backend::Threads).with_opstats(true);
+    match run_cluster(cfg, &p) {
+        Err(jsplit_runtime::ClusterError::Config(msg)) => {
+            assert!(msg.contains("opstats"), "unhelpful rejection message: {msg}");
+            assert!(msg.contains("sim backend"), "message should point at the supported backend: {msg}");
+        }
+        Err(other) => panic!("expected ClusterError::Config, got {other:?}"),
+        Ok(_) => panic!("opstats on the threads backend must be rejected"),
+    }
+}

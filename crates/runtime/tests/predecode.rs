@@ -1,6 +1,4 @@
-//! Differential tests for the decode-once direct-threaded executor: the
-//! predecoded micro-op path (the default) must be observationally
-//! equivalent to the classic enum-decode interpreter it replaced.
+//! Differential tests for the predecoded executor on the cluster backends.
 //!
 //! The predecoder lowers every method body into a flat array of 16-byte
 //! micro-ops at load time — operands resolved, static costs precomputed,
@@ -10,9 +8,24 @@
 //! stdout, virtual execution time, instruction counts, per-node DSM
 //! protocol counters, and per-node network totals must match the classic
 //! interpreter exactly, on all three paper applications, in both protocol
-//! modes, on every backend (sim, threads, sockets). The classic path is
-//! kept behind `ClusterConfig::with_classic_interp(true)` precisely so
-//! this oracle stays runnable forever.
+//! modes, on a Sun cluster and a mixed IBM/Sun one, on every backend (sim,
+//! threads, sockets). Only the IBM profile prices a repeated access
+//! differently from a first one, which is what exposes a fused check that
+//! forgets to clear the access cache; the mixed cluster puts IBM on node 0,
+//! where `main` runs, and on node 2.
+//!
+//! Cluster nodes run only the predecoded executor, so the classic side of
+//! the comparison is a fixture: `tests/data/classic_sim_oracle.txt` holds
+//! each case's observables as the classic interpreter produced them on
+//! the sim backend. The inputs are fixed, so the recording is as strong a
+//! check as a live classic run. The live classic-vs-predecoded comparison
+//! runs on `LocalVm`, the one place classic still executes (the root
+//! package's `tests/differential.rs`).
+//!
+//! The fixture changes only with a deliberate change to the model, and
+//! then only after the `LocalVm` cross-check passes. Regenerate it with
+//! `JSPLIT_RECORD_ORACLE=1 cargo test -p jsplit-runtime --test predecode
+//! record_oracle -- --ignored`.
 //!
 //! The structural tests go below the cluster layer: for each app's loaded
 //! image, every lowered micro-op must preserve the verifier's stack-shape
@@ -26,7 +39,11 @@ use jsplit_mjvm::pcode;
 use jsplit_mjvm::Image;
 use jsplit_runtime::config::SocketsConfig;
 use jsplit_runtime::exec::run_cluster;
-use jsplit_runtime::{Backend, ClusterConfig, RunReport};
+use jsplit_runtime::{Backend, ClusterConfig, NodeSpec, RunReport};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+const ORACLE: &str = include_str!("data/classic_sim_oracle.txt");
 
 fn apps() -> Vec<(&'static str, Program)> {
     use jsplit_apps::{raytracer, series, tsp};
@@ -35,6 +52,34 @@ fn apps() -> Vec<(&'static str, Program)> {
         ("series", series::program(series::SeriesParams { n: 16, intervals: 40, threads: 8 })),
         ("raytracer", raytracer::program(raytracer::RayParams { size: 16, grid: 2, threads: 8 })),
     ]
+}
+
+/// The cluster shapes every case runs on.
+fn clusters() -> [(&'static str, ClusterConfig); 2] {
+    [
+        ("sun4", ClusterConfig::javasplit(JvmProfile::SunSim, 4)),
+        (
+            "mixed4",
+            ClusterConfig::heterogeneous(vec![NodeSpec::ibm(), NodeSpec::sun(), NodeSpec::ibm(), NodeSpec::sun()]),
+        ),
+    ]
+}
+
+/// Every (case name, config, program) of the oracle, on `backend`.
+fn cases(backend: Backend) -> Vec<(String, ClusterConfig, Program)> {
+    let mut out = Vec::new();
+    for (app, p) in apps() {
+        for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
+            for (shape, cfg) in clusters() {
+                let mut cfg = cfg.with_protocol(proto).with_backend(backend);
+                if backend == Backend::Sockets {
+                    cfg = cfg.with_sockets(sockets_config());
+                }
+                out.push((format!("{app} {proto:?} {shape}"), cfg, p.clone()));
+            }
+        }
+    }
+    out
 }
 
 /// The spawned worker binary for sockets runs (the test harness's own
@@ -46,14 +91,7 @@ fn sockets_config() -> SocketsConfig {
     }
 }
 
-fn run_with(proto: ProtocolMode, backend: Backend, classic: bool, p: &Program) -> RunReport {
-    let mut cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 4)
-        .with_protocol(proto)
-        .with_backend(backend)
-        .with_classic_interp(classic);
-    if backend == Backend::Sockets {
-        cfg = cfg.with_sockets(sockets_config());
-    }
+fn run(cfg: ClusterConfig, p: &Program) -> RunReport {
     let r = run_cluster(cfg, p).expect("cluster setup");
     r.expect_clean();
     r
@@ -61,65 +99,77 @@ fn run_with(proto: ProtocolMode, backend: Backend, classic: bool, p: &Program) -
 
 /// Everything observable about a run except host wall-clock and driver
 /// internals (sync counters, slab high-water) — identical criteria to the
-/// cross-backend suite.
-fn assert_reports_match(ctx: &str, classic: &RunReport, fast: &RunReport) {
-    assert_eq!(classic.output, fast.output, "{ctx}: stdout diverged");
-    assert_eq!(classic.exec_time_ps, fast.exec_time_ps, "{ctx}: virtual time diverged");
-    assert_eq!(classic.setup_ps, fast.setup_ps, "{ctx}: setup time diverged");
-    assert_eq!(classic.ops, fast.ops, "{ctx}: total ops diverged");
-    assert_eq!(classic.ops_per_node, fast.ops_per_node, "{ctx}: per-node ops diverged");
-    assert_eq!(classic.threads, fast.threads, "{ctx}: thread count diverged");
-    assert_eq!(classic.dsm_per_node, fast.dsm_per_node, "{ctx}: per-node DSM stats diverged");
-    assert_eq!(classic.net_per_node, fast.net_per_node, "{ctx}: per-node net stats diverged");
+/// cross-backend suite. One fact per line, so a mismatch names it.
+fn render(r: &RunReport) -> String {
+    let mut s = String::new();
+    let _ = writeln!(s, "output: {:?}", r.output);
+    let _ = writeln!(s, "exec_time_ps: {}", r.exec_time_ps);
+    let _ = writeln!(s, "setup_ps: {}", r.setup_ps);
+    let _ = writeln!(s, "ops: {}", r.ops);
+    let _ = writeln!(s, "ops_per_node: {:?}", r.ops_per_node);
+    let _ = writeln!(s, "threads: {}", r.threads);
+    for (i, d) in r.dsm_per_node.iter().enumerate() {
+        let _ = writeln!(s, "dsm[{i}]: {d:?}");
+    }
+    for (i, n) in r.net_per_node.iter().enumerate() {
+        let _ = writeln!(s, "net[{i}]: {n:?}");
+    }
+    s
 }
 
-/// The oracle: the classic interpreter under the reference simulator.
-fn classic_sim(proto: ProtocolMode, p: &Program) -> RunReport {
-    run_with(proto, Backend::Sim, true, p)
+/// The fixture, keyed by case name (`## <case>` headers).
+fn oracle() -> BTreeMap<&'static str, String> {
+    let mut map = BTreeMap::new();
+    for block in ORACLE.split("## ").filter(|b| !b.is_empty()) {
+        let (name, body) = block.split_once('\n').expect("case header line");
+        map.insert(name, body.to_string());
+    }
+    map
 }
 
-#[test]
-fn predecoded_sim_matches_classic_on_all_apps_both_protocols() {
-    for (app, p) in &apps() {
-        for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
-            let classic = classic_sim(proto, p);
-            let fast = run_with(proto, Backend::Sim, false, p);
-            assert_reports_match(&format!("{app} ({proto:?}) sim"), &classic, &fast);
+/// Run every case on `backend` and compare it with the classic oracle.
+fn assert_matches_oracle(backend: Backend) {
+    let oracle = oracle();
+    let cases = cases(backend);
+    assert_eq!(cases.len(), oracle.len(), "fixture and case list disagree");
+    for (name, cfg, p) in cases {
+        let want = oracle.get(name.as_str()).unwrap_or_else(|| panic!("{name}: not in the fixture"));
+        let got = render(&run(cfg, &p));
+        for (g, w) in got.lines().zip(want.lines()) {
+            assert_eq!(g, w, "{name} ({backend:?}): diverged from the classic oracle");
         }
+        assert_eq!(got.lines().count(), want.lines().count(), "{name} ({backend:?}): node count diverged");
     }
 }
 
 #[test]
-fn predecoded_threads_matches_classic_on_all_apps_both_protocols() {
-    for (app, p) in &apps() {
-        for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
-            let classic = classic_sim(proto, p);
-            let fast = run_with(proto, Backend::Threads, false, p);
-            assert_reports_match(&format!("{app} ({proto:?}) threads"), &classic, &fast);
-        }
-    }
+fn predecoded_sim_matches_classic_oracle() {
+    assert_matches_oracle(Backend::Sim);
 }
 
 #[test]
-fn predecoded_sockets_matches_classic_on_all_apps_both_protocols() {
-    for (app, p) in &apps() {
-        for proto in [ProtocolMode::MtsHlrc, ProtocolMode::ClassicHlrc] {
-            let classic = classic_sim(proto, p);
-            let fast = run_with(proto, Backend::Sockets, false, p);
-            assert_reports_match(&format!("{app} ({proto:?}) sockets"), &classic, &fast);
-        }
-    }
+fn predecoded_threads_matches_classic_oracle() {
+    assert_matches_oracle(Backend::Threads);
 }
 
-/// The `classic_interp` flag rides the sockets wire config: a classic
-/// multi-process run must still match the classic sim oracle (catches a
-/// worker silently ignoring — or double-applying — the flag).
 #[test]
-fn classic_flag_round_trips_over_sockets_wire() {
-    let (_, p) = apps().swap_remove(0); // tsp
-    let classic = classic_sim(ProtocolMode::MtsHlrc, &p);
-    let sockets = run_with(ProtocolMode::MtsHlrc, Backend::Sockets, true, &p);
-    assert_reports_match("tsp classic-over-sockets", &classic, &sockets);
+fn predecoded_sockets_matches_classic_oracle() {
+    assert_matches_oracle(Backend::Sockets);
+}
+
+/// Writes the fixture from sim runs (see the module docs for when).
+#[test]
+#[ignore = "rewrites the fixture; run only for a deliberate model change"]
+fn record_oracle() {
+    if std::env::var_os("JSPLIT_RECORD_ORACLE").is_none() {
+        return;
+    }
+    let mut s = String::new();
+    for (name, cfg, p) in cases(Backend::Sim) {
+        let _ = write!(s, "## {name}\n{}", render(&run(cfg, &p)));
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/classic_sim_oracle.txt");
+    std::fs::write(path, s).expect("write fixture");
 }
 
 /// Property: predecoding preserves the verifier's stack-shape judgment on

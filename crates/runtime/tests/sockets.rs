@@ -253,3 +253,21 @@ fn sockets_backend_rejects_unsupported_config() {
         other => panic!("expected Config error for joins, got {other:?}"),
     }
 }
+
+/// The workers never count opcodes, so opstats must be rejected before
+/// any worker is spawned rather than silently dropped.
+#[test]
+fn sockets_backend_rejects_opstats() {
+    let (_, p) = &apps()[1];
+    let cfg = ClusterConfig::javasplit(JvmProfile::SunSim, 2)
+        .with_backend(Backend::Sockets)
+        .with_opstats(true)
+        .with_sockets(sockets_config());
+    match run_cluster(cfg, p) {
+        Err(ClusterError::Config(msg)) => {
+            assert!(msg.contains("opstats"), "error should mention opstats: {msg}");
+            assert!(msg.contains("sim backend"), "error should point at the sim backend: {msg}");
+        }
+        other => panic!("expected Config error for opstats, got {other:?}"),
+    }
+}

@@ -17,11 +17,20 @@
 //!
 //! Main joins everything and prints the counter, the array and the Vector
 //! size.
+//!
+//! The same programs, and the three paper applications, also cross-check
+//! the two interpreter tiers: on `LocalVm`, the predecoded executor must
+//! reproduce the classic interpreter's output, virtual time and retired-op
+//! count exactly, for the original program and for its rewrite (whose DSM
+//! checks are what the check-fused superinstructions execute), under both
+//! cost profiles (only IBM prices a repeated access differently from a
+//! first one).
 
 use javasplit::mjvm::builder::ProgramBuilder;
 use javasplit::mjvm::class::Program;
 use javasplit::mjvm::cost::JvmProfile;
 use javasplit::mjvm::instr::{Cmp, ElemTy, Ty};
+use javasplit::mjvm::LocalVm;
 use javasplit::runtime::exec::run_cluster;
 use javasplit::runtime::ClusterConfig;
 use proptest::prelude::*;
@@ -191,6 +200,55 @@ fn oracle(spec: &Spec) -> Vec<String> {
     out
 }
 
+/// Everything a `LocalVm` run shows: output, virtual time, retired ops,
+/// traps, deadlock.
+type LocalObs = (Vec<String>, u64, u64, String, bool);
+
+fn local_run(p: &Program, rewritten: bool, profile: JvmProfile, classic: bool) -> LocalObs {
+    let model = profile.cost_model();
+    let load = if rewritten { LocalVm::new_rewritten(p, model) } else { LocalVm::new(p, model) };
+    let mut vm = load.expect("load");
+    vm.classic_interp = classic;
+    let r = vm.run();
+    (r.output, r.time_ps, r.ops, format!("{:?}", r.errors), r.deadlocked)
+}
+
+/// Run `original` and its rewrite on `LocalVm` under both tiers and both
+/// profiles; the predecoded run must match the classic one exactly. Each
+/// run must also finish cleanly, so agreement is never agreement on a
+/// trap.
+fn tiers_agree(original: &Program) -> Result<(), String> {
+    let rewritten = javasplit::rewriter::rewrite_program(original).map_err(|e| format!("rewrite: {e:?}"))?.program;
+    for (form, p, rw) in [("original", original, false), ("rewritten", &rewritten, true)] {
+        for profile in [JvmProfile::SunSim, JvmProfile::IbmSim] {
+            let classic = local_run(p, rw, profile, true);
+            let fast = local_run(p, rw, profile, false);
+            let ctx = format!("{form} ({})", profile.name());
+            if classic.3 != "[]" || classic.4 {
+                return Err(format!("{ctx}: classic run did not finish cleanly: {classic:?}"));
+            }
+            if classic != fast {
+                return Err(format!("{ctx}: predecoded {fast:?} != classic {classic:?}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn localvm_tiers_agree_on_the_three_apps() {
+    use javasplit::apps::{raytracer, series, tsp};
+    for (app, p) in [
+        ("tsp", tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })),
+        ("series", series::program(series::SeriesParams { n: 16, intervals: 40, threads: 8 })),
+        ("raytracer", raytracer::program(raytracer::RayParams { size: 16, grid: 2, threads: 8 })),
+    ] {
+        if let Err(e) = tiers_agree(&p) {
+            panic!("{app}: {e}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -225,6 +283,12 @@ proptest! {
         prop_assert!(r.errors.is_empty(), "chunked trapped: {:?}", r.errors);
         prop_assert!(!r.deadlocked);
         prop_assert_eq!(&r.output, &expected, "chunked vs oracle");
+    }
+
+    #[test]
+    fn localvm_tiers_agree_on_generated_programs(spec in spec_strategy()) {
+        let r = tiers_agree(&build(&spec));
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 
     #[test]
