@@ -20,7 +20,4 @@ pub mod transport;
 pub use codec::{Reader, Writer};
 pub use sim::{LinkParams, Network, NodeId, LOOPBACK_PS};
 pub use stats::{MsgKind, NetStats};
-pub use transport::{
-    ChannelEndpoint, Frame, FrameLink, FrameStats, MeshSetup, SoloSetup, Transport, WireMsg,
-    FRAME_CHUNK,
-};
+pub use transport::{ChannelEndpoint, Frame, FrameLink, FrameStats, WireMsg, FRAME_CHUNK};

@@ -1,12 +1,13 @@
-//! Pluggable message transport beneath the runtime drivers.
+//! The live backends' message endpoint.
 //!
 //! The paper's nodes exchange messages over "standard IP-based
-//! communication" (§2); the reproduction abstracts that seam as
-//! [`Transport`]: the virtual-time [`Network`] is the reference
-//! implementation, and [`ChannelEndpoint`] carries *encoded* protocol
-//! bytes between OS threads over in-process channels — same latency model,
-//! same FIFO rule, same statistics, real serialization boundary. A TCP
-//! implementation slots in behind the same seam.
+//! communication" (§2). The sim driver calls the virtual-time
+//! [`Network`](crate::Network) directly; the live backends give each node a
+//! [`ChannelEndpoint`] that carries *encoded* protocol bytes over a
+//! [`FrameLink`] — in-process channels for the threads backend, a TCP
+//! socket for the sockets backend — with the same latency model, the same
+//! FIFO rule and the same statistics as the `Network`, across a real
+//! serialization boundary.
 //!
 //! ## Framing
 //!
@@ -23,12 +24,12 @@
 //! `(deliver, step, src, seq)` order. Per-*message* latency and statistics
 //! are unchanged by framing — each record is planned through the same link
 //! model as an unbatched send, so `NetStats` stays identical to the
-//! simulated [`Network`]. Frame buffers are pooled: the receiver returns a
+//! simulated `Network`. Frame buffers are pooled: the receiver returns a
 //! decoded frame's buffer to its sender over a recycle channel, so the
 //! steady state allocates nothing on the wire path.
 
 use crate::codec::Writer;
-use crate::sim::{LinkParams, Network, NodeId};
+use crate::sim::{LinkParams, NodeId};
 use crate::stats::{MsgKind, NetStats};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
@@ -39,24 +40,6 @@ pub const FRAME_CHUNK: usize = 64 * 1024;
 
 /// Bytes of record header preceding each payload in a frame.
 const REC_HDR: usize = 8 + 8 + 8 + 1 + 4;
-
-/// What a driver needs from a message fabric: given a send of `bytes` wire
-/// bytes at virtual `now_ps`, account it on both ends and return the
-/// virtual delivery time (respecting the per-link FIFO rule).
-pub trait Transport {
-    fn send(&mut self, now_ps: u64, src: NodeId, dst: NodeId, bytes: usize, kind: MsgKind) -> u64;
-    fn nodes(&self) -> usize;
-}
-
-impl Transport for Network {
-    fn send(&mut self, now_ps: u64, src: NodeId, dst: NodeId, bytes: usize, kind: MsgKind) -> u64 {
-        Network::send(self, now_ps, src, dst, bytes, kind)
-    }
-
-    fn nodes(&self) -> usize {
-        Network::nodes(self)
-    }
-}
 
 /// A loopback delivery: self-sends never cross a channel, so the encoded
 /// message is handed straight back to the caller, which queues it locally
@@ -144,7 +127,7 @@ pub struct FrameStats {
 /// are recorded per message at [`ChannelEndpoint::transmit`]; receive
 /// statistics when the receiver drains the record
 /// ([`ChannelEndpoint::drain_frames`]) — totals match the simulated
-/// [`Network`] because every sent message is drained (the threads driver
+/// `Network` because every sent message is drained (the threads driver
 /// drains leftovers at shutdown).
 pub struct ChannelEndpoint {
     pub id: NodeId,
@@ -160,11 +143,11 @@ pub struct ChannelEndpoint {
     /// `false` ships every record as its own frame immediately.
     batch: bool,
     /// FIFO slot per destination: delivery times on a (src,dst) link are
-    /// strictly increasing, same rule as [`Network::send`].
+    /// strictly increasing, same rule as `Network::send`.
     last_delivery: Vec<u64>,
     pub stats: NetStats,
     pub frame_stats: FrameStats,
-    /// Send-event buffer, mirroring [`Network::send`]'s recording exactly
+    /// Send-event buffer, mirroring `Network::send`'s recording exactly
     /// (same stamp, same FIFO-adjusted delivery) so a traced threads run
     /// emits the same `NetSend` stream as the sim. Drained by the driver at
     /// its deterministic flush points.
@@ -248,7 +231,7 @@ impl ChannelEndpoint {
     }
 
     /// Delivery-time computation + send-side accounting (the sender half
-    /// of [`Network::send`]'s latency model, identical numbers).
+    /// of `Network::send`'s latency model, identical numbers).
     fn plan_send(&mut self, now_ps: u64, dst: NodeId, bytes: usize, kind: MsgKind) -> u64 {
         self.stats.record_send(dst, bytes, kind);
         let raw = if dst == self.id {
@@ -388,66 +371,33 @@ impl ChannelEndpoint {
         }
     }
 
-    /// Receive-side accounting without a channel hop (setup-phase traffic
-    /// is planned single-threaded before the mesh is distributed; loopback
-    /// deliveries).
+    /// Receive-side accounting without a channel hop (loopback deliveries).
     pub fn record_recv(&mut self, bytes: usize, kind: MsgKind) {
         self.stats.record_recv(bytes, kind);
     }
-}
 
-/// [`Transport`] over a not-yet-distributed mesh: bootstrap traffic (class
-/// shipping) is planned while all endpoints are still in one place, so both
-/// ends' statistics are recorded directly — no payload crosses a channel.
-pub struct MeshSetup<'a>(pub &'a mut [ChannelEndpoint]);
-
-impl Transport for MeshSetup<'_> {
-    fn send(&mut self, now_ps: u64, src: NodeId, dst: NodeId, bytes: usize, kind: MsgKind) -> u64 {
-        let at = self.0[src as usize].plan_send(now_ps, dst, bytes, kind);
-        if src != dst {
-            self.0[dst as usize].record_recv(bytes, kind);
-        } else {
-            self.0[src as usize].record_recv(bytes, kind);
+    /// Account one setup-phase send (class shipping) without moving any
+    /// bytes: every node replays the same cluster-wide send, the sender
+    /// plans it (FIFO state, statistics, trace exactly like
+    /// `Network::send`) and the receiver records its receive. Returns the
+    /// virtual delivery time on the sending node, 0 elsewhere.
+    pub fn setup_send(&mut self, now_ps: u64, src: NodeId, dst: NodeId, bytes: usize, kind: MsgKind) -> u64 {
+        let mut at = 0;
+        if src == self.id {
+            at = self.plan_send(now_ps, dst, bytes, kind);
+        }
+        if dst == self.id {
+            self.record_recv(bytes, kind);
         }
         at
     }
-
-    fn nodes(&self) -> usize {
-        self.0.len()
-    }
 }
 
-/// [`Transport`] over a single endpoint whose peers live in other
-/// processes: bootstrap traffic is *replayed* identically on every worker —
-/// the sender plans the send (mutating its FIFO state exactly like
-/// [`MeshSetup`] would), a receiver records only its own receive. The
-/// returned delivery time is meaningful on the sending node only.
-pub struct SoloSetup<'a>(pub &'a mut ChannelEndpoint);
-
-impl Transport for SoloSetup<'_> {
-    fn send(&mut self, now_ps: u64, src: NodeId, dst: NodeId, bytes: usize, kind: MsgKind) -> u64 {
-        if src == self.0.id {
-            let at = self.0.plan_send(now_ps, dst, bytes, kind);
-            if dst == src {
-                self.0.record_recv(bytes, kind);
-            }
-            at
-        } else if dst == self.0.id {
-            self.0.record_recv(bytes, kind);
-            0
-        } else {
-            0
-        }
-    }
-
-    fn nodes(&self) -> usize {
-        self.0.nodes()
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Network;
 
     fn links() -> Vec<LinkParams> {
         vec![
@@ -565,7 +515,7 @@ mod tests {
     #[test]
     fn endpoint_trace_matches_network_trace() {
         // Traced sends through the endpoint (remote, loopback, and setup
-        // mesh) record the same NetSend events as the reference Network.
+        // sends) record the same NetSend events as the reference Network.
         let mut net = Network::new(links());
         net.trace = Some(Vec::new());
         let mut mesh = ChannelEndpoint::mesh(&links(), true);
@@ -577,7 +527,9 @@ mod tests {
             net.send(now, src, dst, bytes, MsgKind::Diff);
             put(&mut mesh[src as usize], now, dst, MsgKind::Diff, &vec![0u8; bytes]);
         }
-        MeshSetup(&mut mesh).send(9, 1, 0, 55, MsgKind::Control);
+        for ep in &mut mesh {
+            ep.setup_send(9, 1, 0, 55, MsgKind::Control);
+        }
         net.send(9, 1, 0, 55, MsgKind::Control);
         let want = net.trace.take().unwrap();
         let mut got: Vec<_> = Vec::new();
@@ -611,10 +563,17 @@ mod tests {
     fn setup_mesh_matches_network_accounting() {
         let mut net = Network::new(links());
         let mut mesh = ChannelEndpoint::mesh(&links(), true);
-        let want = net.send(0, 0, 1, 5_000, MsgKind::Control);
-        let got = MeshSetup(&mut mesh).send(0, 0, 1, 5_000, MsgKind::Control);
-        assert_eq!(got, want);
-        assert_eq!(mesh[0].stats.msgs_sent, net.stats[0].msgs_sent);
-        assert_eq!(mesh[1].stats.recv_by_kind, net.stats[1].recv_by_kind);
+        // Every endpoint replays the same setup sends; only the sender's
+        // delivery time is meaningful.
+        for (now, src, dst, bytes) in [(0u64, 0u16, 1u16, 5_000usize), (3, 0, 1, 200), (4, 1, 1, 70)] {
+            let want = net.send(now, src, dst, bytes, MsgKind::Control);
+            for ep in &mut mesh {
+                let got = ep.setup_send(now, src, dst, bytes, MsgKind::Control);
+                assert_eq!(got, if ep.id == src { want } else { 0 }, "send {now} {src}->{dst}");
+            }
+        }
+        for (i, ep) in mesh.iter().enumerate() {
+            assert_eq!(ep.stats, net.stats[i], "node {i}");
+        }
     }
 }

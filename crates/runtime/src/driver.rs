@@ -2,24 +2,26 @@
 //!
 //! A driver takes the prepared program, builds one [`NodeRuntime`] per
 //! worker, and executes the [`Effect`](crate::node::Effect) streams the
-//! nodes emit against a [`Transport`]. Three drivers exist, each with an
-//! inherent `new`/`run` pair that [`run_cluster`](crate::exec::run_cluster)
-//! dispatches on:
+//! nodes emit. Three drivers exist, each with an inherent `new`/`run` pair
+//! that [`run_cluster`](crate::exec::run_cluster) dispatches on:
 //!
 //! * [`Cluster`](crate::exec::Cluster) — the discrete-event virtual-time
 //!   simulator over [`jsplit_net::Network`]: one global event queue, fully
 //!   deterministic, the *reference semantics* of the reproduction.
 //! * [`ThreadsDriver`](crate::threads::ThreadsDriver) — each node on its
-//!   own OS thread over [`jsplit_net::ChannelEndpoint`]s, encoded bytes
-//!   crossing the channels, virtual time advanced in epoch rounds.
+//!   own OS thread over [`ChannelEndpoint`]s, encoded bytes crossing the
+//!   channels, virtual time advanced in epoch rounds.
 //! * [`SocketsDriver`](crate::sockets::SocketsDriver) — each node in its
 //!   own OS process over localhost TCP, the same epoch rounds; its `run`
 //!   returns a `Result` because a worker can fail.
 //!
-//! This module holds the preparation steps all three share: program
-//! rewrite and image load, the configuration checks of the two live
-//! backends, the class-file broadcast (the one helper behind every
-//! bootstrap path), and the `C_static` singleton bootstrap of §4.2.
+//! The drivers differ only in how events are ordered and bytes move. What
+//! surrounds that is shared: this module holds the preparation (program
+//! rewrite and image load, the live backends' configuration checks, the
+//! `C_static` singleton bootstrap of §4.2) and [`live_node`], the one
+//! construction of a live node; [`SyncEngine::boot`](crate::engine) starts
+//! a live node's engine the same way on threads and sockets; and every
+//! driver ends its run in [`RunReport::fold`](crate::report::RunReport).
 
 use crate::config::{ClusterConfig, Mode, NodeSpec};
 use crate::env::CONSOLE_NODE;
@@ -28,7 +30,7 @@ use jsplit_mjvm::class::{Program, Sig};
 use jsplit_mjvm::heap::Gid;
 use jsplit_mjvm::loader::{ClassId, Image, LoadError, MethodId};
 use jsplit_mjvm::{stdlib, Value};
-use jsplit_net::{LinkParams, MsgKind, NodeId, Transport};
+use jsplit_net::{ChannelEndpoint, LinkParams, MsgKind, NodeId};
 use jsplit_rewriter::{RewriteError, RewriteStats};
 use std::sync::Arc;
 
@@ -125,54 +127,122 @@ pub fn link_params(spec: NodeSpec) -> LinkParams {
     LinkParams { base_ns: m.net_base_ns, per_byte_ns: m.net_per_byte_ns }
 }
 
-/// Ship the rewritten class files from the console node to `dst` at `now`
-/// (§2: class distribution is real traffic on the same links, counted in
-/// the statistics). Returns the virtual arrival time. Every bootstrap path
-/// — initial pool, mid-run joiner, threads backend — goes through here.
-pub fn ship_classes(net: &mut dyn Transport, now: u64, dst: NodeId, class_bytes: usize) -> u64 {
-    net.send(now, CONSOLE_NODE, dst, class_bytes, MsgKind::Control)
+/// Account the class broadcast on one live endpoint (§2: class
+/// distribution is real traffic on the same links, counted in the
+/// statistics): the console node plans a send to every other node at t = 0,
+/// and each receiver records its own receive. Returns the setup time — the
+/// latest arrival — on the console node, 0 elsewhere.
+fn ship_classes(endpoint: &mut ChannelEndpoint, class_bytes: usize) -> u64 {
+    (1..endpoint.nodes())
+        .map(|dst| endpoint.setup_send(0, CONSOLE_NODE, dst as NodeId, class_bytes, MsgKind::Control))
+        .max()
+        .unwrap_or(0)
+}
+
+/// A live node ready for its engine: the runtime, its endpoint with the
+/// class broadcast accounted, and its setup time.
+pub(crate) struct LiveNode {
+    pub node: NodeRuntime,
+    pub endpoint: ChannelEndpoint,
+    pub setup_ps: u64,
+}
+
+/// Build one live node (threads and sockets alike) around its endpoint:
+/// the runtime, the endpoint's trace and frame-size buffers armed before
+/// any setup traffic so it is captured, class shipping, and the statics
+/// bootstrap.
+pub(crate) fn live_node(config: &ClusterConfig, prepared: &Prepared, mut endpoint: ChannelEndpoint) -> LiveNode {
+    let id = endpoint.id;
+    let mut node =
+        NodeRuntime::new(id, config.nodes[id as usize], config, prepared.image.clone(), prepared.thread_class);
+    if config.trace.is_some() {
+        endpoint.trace = Some(Vec::new());
+    }
+    if config.profile || config.trace.is_some() {
+        endpoint.frame_hist = Some(jsplit_trace::LogHist::new());
+    }
+    let mut setup_ps = 0;
+    if config.mode == Mode::JavaSplit {
+        setup_ps = ship_classes(&mut endpoint, prepared.class_bytes);
+        bootstrap_statics(&mut node, &prepared.image);
+    }
+    LiveNode { node, endpoint, setup_ps }
 }
 
 /// One `C_static` singleton: (class, static slot, gid, companion class).
-pub type SingletonSpec = (ClassId, u16, Gid, ClassId);
+type SingletonSpec = (ClassId, u16, Gid, ClassId);
 
-/// Create the shared `C_static` singletons on node 0 and fill every node's
-/// constant holder slot with a (placeholder) local copy (§4.2).
-pub fn bootstrap_statics(nodes: &mut [NodeRuntime], image: &Arc<Image>) {
-    let mut singletons: Vec<SingletonSpec> = Vec::new();
-    for (class, slot, comp) in image.statics_holders() {
-        // Master on worker 0.
-        let w0 = &mut nodes[0];
-        let zeros = image.class(comp).zeroed_fields();
-        let master = w0.heap.alloc_object(comp, zeros.len(), zeros);
-        let gid = w0.env.js().dsm.share_object(&mut w0.heap, master);
-        w0.heap.set_static(class, slot, Value::Ref(master));
-        singletons.push((class, slot, gid, comp));
-    }
-    for w in nodes.iter_mut().skip(1) {
-        install_singletons(w, image, &singletons);
-    }
-}
-
-/// Read the already-bootstrapped singleton set back off node 0's heap (a
-/// mid-run joiner needs the same installs the initial pool got).
-pub fn singleton_specs(node0: &mut NodeRuntime, image: &Arc<Image>) -> Vec<SingletonSpec> {
+/// The `C_static` singleton set, from the image alone: the console node
+/// shares the masters first thing, in [`Image::statics_holders`] order, and
+/// its DSM mints gid counters from 1 — so every node (a sockets worker, a
+/// mid-run joiner) knows the gids without asking node 0.
+fn singleton_specs(image: &Image) -> Vec<SingletonSpec> {
     image
         .statics_holders()
-        .filter_map(|(class, slot, comp)| {
-            let Value::Ref(master) = node0.heap.get_static(class, slot) else {
-                return None;
-            };
-            Some((class, slot, node0.heap.get(master).dsm.gid?, comp))
-        })
+        .enumerate()
+        .map(|(k, (class, slot, comp))| (class, slot, Gid::new(CONSOLE_NODE, k as u64 + 1), comp))
         .collect()
 }
 
-/// Cache the singleton set on one node and point its holder slots at the
-/// local copies.
-pub fn install_singletons(w: &mut NodeRuntime, image: &Arc<Image>, singletons: &[SingletonSpec]) {
-    for (class, slot, gid, comp) in singletons {
-        let local = w.env.js().dsm.ensure_cached(&mut w.heap, image, *gid, *comp);
-        w.heap.set_static(*class, *slot, Value::Ref(local));
+/// Set up the `C_static` singletons on one node (§4.2): the console node
+/// creates and shares the masters, every other node caches a placeholder
+/// copy of each and points its holder slot at it.
+pub(crate) fn bootstrap_statics(w: &mut NodeRuntime, image: &Arc<Image>) {
+    for (class, slot, gid, comp) in singleton_specs(image) {
+        let local = if w.id == CONSOLE_NODE {
+            let zeros = image.class(comp).zeroed_fields();
+            let master = w.heap.alloc_object(comp, zeros.len(), zeros);
+            let shared = w.env.js().dsm.share_object(&mut w.heap, master);
+            debug_assert_eq!(shared, gid, "statics master minted an unexpected gid");
+            master
+        } else {
+            w.env.js().dsm.ensure_cached(&mut w.heap, image, gid, comp)
+        };
+        w.heap.set_static(class, slot, Value::Ref(local));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use jsplit_apps::{raytracer, series, tsp};
+    use jsplit_mjvm::cost::JvmProfile;
+
+    /// The precomputed singleton set is exactly what the console node's
+    /// bootstrap shares, and every other node's holder slots point at
+    /// cached copies of those gids. (Only the raytracer declares statics —
+    /// one class, so one singleton; for the other two both sides are
+    /// empty.)
+    #[test]
+    fn singleton_specs_match_bootstrapped_gids() {
+        let apps = [
+            ("tsp", tsp::program(tsp::TspParams { n: 8, seed: 42, depth: 2, threads: 8 })),
+            ("series", series::program(series::SeriesParams { n: 16, intervals: 40, threads: 8 })),
+            ("raytracer", raytracer::program(raytracer::RayParams { size: 16, grid: 2, threads: 8 })),
+        ];
+        let mut shared = 0;
+        for (app, program) in &apps {
+            let config = ClusterConfig::javasplit(JvmProfile::SunSim, 2);
+            let prepared = prepare(&config, program).expect("prepare");
+            let specs = singleton_specs(&prepared.image);
+            shared += specs.len();
+            for id in 0..2 {
+                let mut node =
+                    NodeRuntime::new(id, config.nodes[0], &config, prepared.image.clone(), prepared.thread_class);
+                bootstrap_statics(&mut node, &prepared.image);
+                let assigned: Vec<SingletonSpec> = prepared
+                    .image
+                    .statics_holders()
+                    .map(|(class, slot, comp)| {
+                        let Value::Ref(obj) = node.heap.get_static(class, slot) else {
+                            panic!("{app}: node {id} holder slot is not a reference");
+                        };
+                        (class, slot, node.heap.get(obj).dsm.gid.expect("shared singleton"), comp)
+                    })
+                    .collect();
+                assert_eq!(assigned, specs, "{app}: node {id}");
+            }
+        }
+        assert!(shared > 0, "the raytracer's statics class must be covered");
     }
 }

@@ -57,9 +57,12 @@
 //! reproducibly.
 
 use crate::balance::{BalancerState, LoadBalancer};
-use crate::config::Mode;
+use crate::config::{ClusterConfig, Mode};
+use crate::driver::{link_params, LiveNode};
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
+use crate::queue::EventQueue;
+use crate::report::NodeReport;
 use jsplit_dsm::Msg;
 use jsplit_mjvm::heap::ThreadUid;
 use jsplit_mjvm::interp::{Frame, VmError};
@@ -70,14 +73,12 @@ use jsplit_trace::{
     Event, FlightRecorder, FlightTag, Metric, MetricsRegistry, NodeWallProfile, RingRecorder,
     SpanKind, SpanRecorder, TraceEvent, TraceMode, TraceSink, VecRecorder,
 };
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-node sink construction (the `Send` bound lets it ride to the node's
 /// OS thread; the sim's global `make_sink` doesn't need one).
-pub(crate) fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
+fn make_node_sink(mode: TraceMode) -> Box<dyn TraceSink + Send> {
     match mode {
         TraceMode::Full => Box::new(VecRecorder::new()),
         TraceMode::Ring(cap) => Box::new(RingRecorder::new(cap)),
@@ -95,6 +96,22 @@ pub(crate) struct Horizons {
 }
 
 impl Horizons {
+    /// The cluster's lookahead tables from its configuration. Every
+    /// horizon adds base latencies, so the loopback bound — which
+    /// `loopback_ps` clamps below the base — must sit below each of them.
+    pub fn new(config: &ClusterConfig) -> Horizons {
+        let base_ps = config
+            .nodes
+            .iter()
+            .map(|s| {
+                let l = link_params(*s);
+                assert!(l.loopback_ps() <= l.base_ps(), "loopback bound {} ps above link base {} ps", l.loopback_ps(), l.base_ps());
+                l.base_ps()
+            })
+            .collect();
+        Horizons { base_ps, max_ops: config.max_ops }
+    }
+
     /// The safe horizon of node `me` given every node's published `next`
     /// (module docs give the rule and its argument). Saturating: idle
     /// peers (`next = ∞`) never bind, and a single node — no peer, so an
@@ -155,23 +172,34 @@ pub(crate) trait EpochPeers {
 
 /// What one node's engine hands back when the run is over.
 pub(crate) struct NodeOutcome {
-    pub node: NodeRuntime,
-    pub endpoint: ChannelEndpoint,
-    pub errors: Vec<(ThreadUid, VmError)>,
-    pub deadlocked: bool,
-    pub aborted: bool,
-    /// Final length of the local event-payload slab (live-event bound).
-    pub slab_high_water: u64,
-    /// Windows this node processed (identical on every node).
-    pub windows: u64,
-    /// Round-barrier crossings this node made.
-    pub barrier_waits: u64,
-    /// The node's private trace sink, still open: the driver appends the
-    /// leftover DSM/endpoint buffers (stamped at the *global* finish time,
-    /// which no single node knows) before draining it.
-    pub recorder: Option<Box<dyn TraceSink + Send>>,
+    pub report: NodeReport,
+    /// The node's trace, still open (`None` when tracing is off).
+    pub trace: Option<TraceTail>,
     /// Wall-clock span profile (`None` unless profiling was on).
     pub profile: Option<NodeWallProfile>,
+}
+
+/// A node's private trace sink plus the buffers not yet recorded into it:
+/// the DSM's unstamped events, stamped at the *global* finish time that no
+/// single node knows, and the endpoint's pre-stamped sends.
+pub(crate) struct TraceTail {
+    sink: Box<dyn TraceSink + Send>,
+    dsm: Vec<TraceEvent>,
+    net: Vec<Event>,
+}
+
+impl TraceTail {
+    /// Flush the leftovers at `finish` — in the order the sim's final
+    /// drain records them — and close the sink.
+    pub fn close(mut self, finish: u64) -> Vec<Event> {
+        for ev in self.dsm {
+            self.sink.record(Event { t: finish, ev });
+        }
+        for e in self.net {
+            self.sink.record(e);
+        }
+        self.sink.into_events()
+    }
 }
 
 /// A node-local scheduled event (the per-node analogue of the sim driver's
@@ -181,16 +209,13 @@ enum NodeEv {
     Deliver { src: NodeId, msg: Msg },
 }
 
-/// Event-queue ordering key: `(time, step, lane, seq, slab index)`.
-type EvKey = (u64, u64, NodeId, u64, usize);
-
 /// One node's conservative event loop, generic over how progress crosses
 /// node boundaries (see the module docs). The threads backend runs one per
 /// OS thread; the sockets backend one per worker process.
 pub(crate) struct SyncEngine {
-    pub node: NodeRuntime,
-    pub endpoint: ChannelEndpoint,
-    pub hz: Horizons,
+    node: NodeRuntime,
+    endpoint: ChannelEndpoint,
+    hz: Horizons,
     mode: Mode,
     thread_main: MethodId,
     n_nodes: usize,
@@ -208,12 +233,11 @@ pub(crate) struct SyncEngine {
     spawns_recv: u64,
     /// Local event queue, deterministically ordered by
     /// `(time, step, lane, seq)`: `step` is the virtual time of the event
-    /// that produced the entry, `lane` the producing node, `seq` a local
-    /// tie-breaker assigned in deterministic order.
-    events: BinaryHeap<Reverse<EvKey>>,
-    payloads: Vec<Option<NodeEv>>,
-    free_events: Vec<usize>,
-    seq: u64,
+    /// that produced the entry, `lane` the producing node, `seq` the
+    /// queue's push counter.
+    events: EventQueue<(u64, u64, NodeId), NodeEv>,
+    /// Latest class-file arrival this node planned at setup.
+    setup_ps: u64,
     errors: Vec<(ThreadUid, VmError)>,
     fx: Vec<Effect>,
     /// Reused drain staging buffer (sorted per round, never reallocated in
@@ -223,18 +247,18 @@ pub(crate) struct SyncEngine {
     barrier_waits: u64,
     /// This node's private trace sink (`None` = tracing off). Never shared:
     /// recording is a plain method call on thread-local state.
-    pub recorder: Option<Box<dyn TraceSink + Send>>,
+    recorder: Option<Box<dyn TraceSink + Send>>,
     /// Wall-clock span profiler (`None` = profiling off: one branch/site).
     pub profiler: Option<SpanRecorder>,
     /// Live-metrics registry (`None` = metrics off: one branch per publish
     /// site). Values go out as single relaxed stores of counters this loop
     /// already maintains — the sampler thread does all derived work.
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Option<Arc<MetricsRegistry>>,
     /// Flight recorder for recent state transitions (`None` = off).
-    pub flight: Option<Arc<FlightRecorder>>,
+    flight: Option<Arc<FlightRecorder>>,
     /// Watchdog fault injection: sleep this many wall-clock ms before the
     /// first epoch round, leaving every peer parked at its barrier.
-    pub stall_inject_ms: Option<u64>,
+    stall_inject_ms: Option<u64>,
     /// Cross-process telemetry pump (`None` outside the sockets backend):
     /// ships this node's registry row toward the coordinator as a
     /// `Metrics` envelope. Invoked from the engine thread only — so the
@@ -249,76 +273,68 @@ pub(crate) struct SyncEngine {
 }
 
 impl SyncEngine {
-    /// Build an engine around a node and its endpoint; the optional
-    /// instruments (recorder, profiler, metrics, flight) start disabled —
-    /// drivers arm the ones their configuration asks for.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        node: NodeRuntime,
-        endpoint: ChannelEndpoint,
-        hz: Horizons,
-        mode: Mode,
+    /// Boot one live node's engine — the one bootstrap of the threads and
+    /// sockets backends: the lookahead tables, the instruments the
+    /// configuration asks for (`metrics` and `flight` are the backend's
+    /// shared registry and flight recorder), the guest `main` thread on
+    /// worker 0 (§2) before the first round so the first published snapshot
+    /// counts it, and the setup-phase trace (statics bootstrap, class
+    /// shipping) stamped at t = 0 like the sim's. The profiler and metrics
+    /// pump are backend-specific and armed by the caller.
+    pub fn boot(
+        live: LiveNode,
+        config: &ClusterConfig,
         thread_main: MethodId,
-        n_nodes: usize,
-        lb: BalancerState,
+        metrics: Option<Arc<MetricsRegistry>>,
+        flight: Option<Arc<FlightRecorder>>,
     ) -> SyncEngine {
-        SyncEngine {
+        let LiveNode { node, endpoint, setup_ps } = live;
+        let n_nodes = endpoint.nodes();
+        let me = endpoint.id;
+        let mut eng = SyncEngine {
             next_uid: node.id as ThreadUid,
             node,
             endpoint,
-            hz,
-            mode,
+            hz: Horizons::new(config),
+            mode: config.mode,
             thread_main,
             n_nodes,
-            lb,
+            lb: BalancerState::new(config.balancer),
             shipped_to: vec![0; n_nodes],
             self_inflight: 0,
             spawns_sent: 0,
             spawns_recv: 0,
-            events: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free_events: Vec::new(),
-            seq: 0,
+            events: EventQueue::new(),
+            setup_ps,
             errors: Vec::new(),
             fx: Vec::new(),
             drain_scratch: Vec::new(),
             windows: 0,
             barrier_waits: 0,
-            recorder: None,
+            recorder: config.trace.map(make_node_sink),
             profiler: None,
-            metrics: None,
-            flight: None,
-            stall_inject_ms: None,
+            metrics,
+            flight,
+            stall_inject_ms: config
+                .metrics
+                .as_ref()
+                .and_then(|c| c.stall_inject)
+                .filter(|&(node, _)| node == me)
+                .map(|(_, ms)| ms),
             metrics_pump: None,
             t0: Instant::now(),
-        }
-    }
-
-    /// Start the guest `main` thread (worker 0 only, §2), before the first
-    /// synchronization point so the first published snapshot counts it.
-    pub fn bootstrap_main(&mut self, main_method: MethodId, main_locals: u16) {
-        debug_assert_eq!(self.endpoint.id, CONSOLE_NODE);
-        let uid = self.alloc_uid();
-        let frame = Frame::new(main_method, main_locals, vec![], false);
-        let mut fx = std::mem::take(&mut self.fx);
-        self.node.add_thread(uid, frame, None, 0, &mut fx);
-        self.fx = fx;
-        self.apply_effects(0);
-    }
-
-    fn push(&mut self, time: u64, step: u64, lane: NodeId, ev: NodeEv) {
-        let idx = match self.free_events.pop() {
-            Some(i) => {
-                self.payloads[i] = Some(ev);
-                i
-            }
-            None => {
-                self.payloads.push(Some(ev));
-                self.payloads.len() - 1
-            }
         };
-        self.events.push(Reverse((time, step, lane, self.seq, idx)));
-        self.seq += 1;
+        if me == CONSOLE_NODE {
+            let uid = eng.alloc_uid();
+            let main = eng.node.image().main_method;
+            let frame = Frame::new(main, eng.node.image().method(main).max_locals, vec![], false);
+            let mut fx = std::mem::take(&mut eng.fx);
+            eng.node.add_thread(uid, frame, None, 0, &mut fx);
+            eng.fx = fx;
+            eng.apply_effects(0);
+        }
+        eng.drain_trace(0);
+        eng
     }
 
     fn alloc_uid(&mut self) -> ThreadUid {
@@ -352,24 +368,12 @@ impl SyncEngine {
             return;
         };
         let me = self.endpoint.id;
-        reg.set(me, Metric::Ops, self.node.ops);
-        reg.set(me, Metric::LiveThreads, self.node.live() as u64);
+        self.node.publish_metrics(reg, &self.endpoint.stats);
         reg.set(me, Metric::Windows, self.windows);
         reg.set(me, Metric::BarrierWaits, self.barrier_waits);
         reg.set(me, Metric::HorizonPs, horizon);
         reg.set(me, Metric::NextEventPs, next);
-        let ns = &self.endpoint.stats;
-        reg.set(me, Metric::NetMsgsSent, ns.msgs_sent);
-        reg.set(me, Metric::NetBytesSent, ns.bytes_sent);
-        reg.set(me, Metric::NetMsgsRecv, ns.msgs_recv);
-        let fs = &self.endpoint.frame_stats;
-        reg.set(me, Metric::FramesSent, fs.frames_sent);
-        if let Some(d) = self.node.dsm_stats_ref() {
-            reg.set(me, Metric::DsmFetches, d.fetches);
-            reg.set(me, Metric::DsmDiffs, d.diffs_sent);
-            reg.set(me, Metric::DsmInvalidations, d.invalidations);
-            reg.set(me, Metric::DsmLockGrants, d.grants_sent);
-        }
+        reg.set(me, Metric::FramesSent, self.endpoint.frame_stats.frames_sent);
     }
 
     /// Raise or clear the parked gauge and log the matching flight mark,
@@ -415,7 +419,7 @@ impl SyncEngine {
             match f {
                 Effect::Local { time, ev } => {
                     let lane = self.endpoint.id;
-                    self.push(time, step, lane, NodeEv::Local(ev));
+                    self.events.push((time, step, lane), NodeEv::Local(ev));
                 }
                 Effect::Send { at, dst, msg } => self.transmit(at, step, dst, msg),
                 Effect::Spawn { now, thread_obj, priority } => {
@@ -452,7 +456,7 @@ impl SyncEngine {
             let msg = Msg::decode_from(&mut Reader::new(&wire.payload[..])).expect("loopback codec round-trip");
             self.endpoint.recycle(wire.payload);
             let lane = self.endpoint.id;
-            self.push(deliver, step, lane, NodeEv::Deliver { src: lane, msg });
+            self.events.push((deliver, step, lane), NodeEv::Deliver { src: lane, msg });
         }
     }
 
@@ -524,11 +528,8 @@ impl SyncEngine {
         }
     }
 
-    /// Pop-side of the event loop: execute one scheduled event at `time`
-    /// whose payload sits at slab `idx`.
-    fn process_one(&mut self, time: u64, idx: usize) {
-        let ev = self.payloads[idx].take().expect("event payload");
-        self.free_events.push(idx);
+    /// Pop-side of the event loop: execute one scheduled event at `time`.
+    fn process_one(&mut self, time: u64, ev: NodeEv) {
         match ev {
             NodeEv::Local(LocalEv::Slice { cpu, thread }) => {
                 let mut fx = std::mem::take(&mut self.fx);
@@ -683,12 +684,9 @@ impl SyncEngine {
                     p.window_ps.record(horizon - min_next);
                 }
             }
-            while let Some(&Reverse((time, _, _, _, idx))) = self.events.peek() {
-                if time >= horizon {
-                    break;
-                }
-                self.events.pop();
-                self.process_one(time, idx);
+            while self.queue_head() < horizon {
+                let ((time, ..), ev) = self.events.pop().expect("queue head");
+                self.process_one(time, ev);
             }
         }
         self.fly(FlightTag::Decide, if deadlocked { 2 } else if aborted { 3 } else { 1 }, round);
@@ -714,24 +712,29 @@ impl SyncEngine {
             }
             p
         });
-        NodeOutcome {
-            slab_high_water: self.payloads.len() as u64,
-            node: self.node,
-            endpoint: self.endpoint,
+        let trace = self.recorder.take().map(|sink| TraceTail {
+            sink,
+            dsm: self.node.take_dsm_trace(),
+            net: self.endpoint.trace.take().unwrap_or_default(),
+        });
+        let report = NodeReport {
             errors: self.errors,
             deadlocked,
             aborted,
+            slab_high_water: self.events.high_water(),
             windows: self.windows,
             barrier_waits: self.barrier_waits,
-            recorder: self.recorder,
-            profile,
-        }
+            setup_ps: self.setup_ps,
+            frames: self.endpoint.frame_stats,
+            ..self.node.report(self.endpoint.stats.clone())
+        };
+        NodeOutcome { report, trace, profile }
     }
 
     /// Earliest queued event (`u64::MAX` if idle) — the node's published
     /// `next`.
     fn queue_head(&self) -> u64 {
-        self.events.peek().map_or(u64::MAX, |Reverse((t, ..))| *t)
+        self.events.peek().map_or(u64::MAX, |(t, ..)| t)
     }
 
     /// Drain inbound frames into the local queue, deterministically:
@@ -747,7 +750,7 @@ impl SyncEngine {
         });
         batch.sort_unstable_by_key(|&(deliver, step, src, seq, _)| (deliver, step, src, seq));
         for (deliver, step, src, _, msg) in batch.drain(..) {
-            self.push(deliver, step, src, NodeEv::Deliver { src, msg });
+            self.events.push((deliver, step, src), NodeEv::Deliver { src, msg });
         }
         self.drain_scratch = batch;
     }

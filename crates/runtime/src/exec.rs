@@ -16,18 +16,17 @@ use crate::config::{Backend, ClusterConfig, Mode, NodeSpec};
 use crate::driver::{self, Prepared};
 use crate::env::CONSOLE_NODE;
 use crate::node::{Effect, LocalEv, NodeRuntime};
-use crate::report::RunReport;
+use crate::queue::EventQueue;
+use crate::report::{self, NodeReport, RunFacts, RunReport};
+use crate::telemetry::Telemetry;
 use jsplit_mjvm::class::Program;
 use jsplit_mjvm::heap::{ObjRef, ThreadUid};
 use jsplit_mjvm::interp::{Frame, VmError};
 use jsplit_mjvm::loader::{ClassId, Image, MethodId};
 use jsplit_mjvm::Value;
-use jsplit_net::{Network, NodeId};
+use jsplit_net::{MsgKind, Network, NodeId};
 use jsplit_rewriter::RewriteStats;
-use crate::telemetry::Telemetry;
 use jsplit_trace::{make_sink, Metric, MetricsRegistry, TraceEvent, TraceSink};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 pub use crate::driver::ClusterError;
@@ -49,19 +48,11 @@ pub struct Cluster {
     rewrite: Option<RewriteStats>,
     nodes: Vec<NodeRuntime>,
     net: Network,
-    events: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    /// Event payloads, slab-allocated: dispatched slots are recycled through
-    /// `free_events`, so storage is bounded by the number of *live*
-    /// (scheduled, not yet dispatched) events instead of every event ever
-    /// pushed. Ordering is untouched — the heap key is (time, seq, idx) and
-    /// `seq` is unique, so a recycled idx never changes dispatch order.
-    payloads: Vec<Option<Ev>>,
-    free_events: Vec<usize>,
-    seq: u64,
+    /// The one global queue, ordered by (virtual time, push order).
+    events: EventQueue<u64, Ev>,
     next_uid: ThreadUid,
     live_threads: usize,
-    total_threads: u32,
-    console: Vec<String>,
+    /// Trapped threads, in global occurrence order.
     errors: Vec<(ThreadUid, VmError)>,
     ops: u64,
     lb: BalancerState,
@@ -113,14 +104,9 @@ impl Cluster {
             rewrite,
             nodes,
             net,
-            events: BinaryHeap::new(),
-            payloads: Vec::new(),
-            free_events: Vec::new(),
-            seq: 0,
+            events: EventQueue::new(),
             next_uid: 0,
             live_threads: 0,
-            total_threads: 0,
-            console: Vec::new(),
             errors: Vec::new(),
             ops: 0,
             thread_main,
@@ -139,19 +125,18 @@ impl Cluster {
         // (and counted in the traffic statistics) but does not delay t = 0.
         if cluster.config.mode == Mode::JavaSplit {
             for i in 1..cluster.nodes.len() {
-                let at = driver::ship_classes(&mut cluster.net, 0, i as NodeId, class_bytes);
+                let at = cluster.net.send(0, CONSOLE_NODE, i as NodeId, class_bytes, MsgKind::Control);
                 cluster.setup_ps = cluster.setup_ps.max(at);
             }
-        }
-
-        if cluster.config.mode == Mode::JavaSplit {
-            driver::bootstrap_statics(&mut cluster.nodes, &cluster.image.clone());
+            for node in &mut cluster.nodes {
+                driver::bootstrap_statics(node, &cluster.image);
+            }
         }
 
         // Mid-run joins.
         let joins = cluster.config.joins.clone();
         for (t, spec) in joins {
-            cluster.push(t, Ev::Join { spec });
+            cluster.events.push(t, Ev::Join { spec });
         }
 
         // The main thread starts on worker 0 (§2: the rewritten classes are
@@ -195,21 +180,6 @@ impl Cluster {
         }
     }
 
-    fn push(&mut self, time: u64, ev: Ev) {
-        let idx = match self.free_events.pop() {
-            Some(i) => {
-                self.payloads[i] = Some(ev);
-                i
-            }
-            None => {
-                self.payloads.push(Some(ev));
-                self.payloads.len() - 1
-            }
-        };
-        self.events.push(Reverse((time, self.seq, idx)));
-        self.seq += 1;
-    }
-
     /// Execute a node's ordered effect stream. Effects become event-queue
     /// pushes in emission order, which is what makes the refactored driver
     /// bit-identical to the old monolithic scheduler: global sequence
@@ -218,7 +188,7 @@ impl Cluster {
         let mut fx = std::mem::take(&mut self.fx);
         for f in fx.drain(..) {
             match f {
-                Effect::Local { time, ev } => self.push(time, Ev::Local { node, ev }),
+                Effect::Local { time, ev } => self.events.push(time, Ev::Local { node, ev }),
                 Effect::Send { at, dst, msg } => self.transmit(at, node, dst, msg),
                 Effect::Spawn { now, thread_obj, priority } => self.dispatch_spawn(node, thread_obj, priority, now),
                 Effect::Trace { t, ev } => self.tr(t, ev),
@@ -237,7 +207,6 @@ impl Cluster {
         self.nodes[node as usize].add_thread(uid, frame, thread_obj, now, &mut fx);
         self.fx = fx;
         self.live_threads += 1;
-        self.total_threads += 1;
         self.apply_effects(node);
         uid
     }
@@ -245,7 +214,7 @@ impl Cluster {
     fn transmit(&mut self, now: u64, src: NodeId, dst: NodeId, msg: jsplit_dsm::Msg) {
         let bytes = msg.wire_len();
         let at = self.net.send(now, src, dst, bytes, msg.kind());
-        self.push(at, Ev::Deliver { dst, msg });
+        self.events.push(at, Ev::Deliver { dst, msg });
     }
 
     /// Place a newly started thread per the load-balancing function (§2).
@@ -317,7 +286,6 @@ impl Cluster {
                 );
                 self.fx = fx;
                 self.live_threads += 1;
-                self.total_threads += 1;
                 self.apply_effects(dst);
             }
             other => {
@@ -346,41 +314,24 @@ impl Cluster {
     /// not sampled — the registry is fixed at creation.
     fn publish_metrics(&self, now: u64) {
         let Some(reg) = &self.metrics else { return };
-        for (i, node) in self.nodes.iter().enumerate().take(reg.n_nodes()) {
-            let id = i as NodeId;
-            reg.set(id, Metric::Ops, node.ops);
-            reg.set(id, Metric::LiveThreads, node.live() as u64);
-            reg.set(id, Metric::HorizonPs, now);
-            reg.set(id, Metric::NextEventPs, now);
-            if let Some(st) = self.net.stats.get(i) {
-                reg.set(id, Metric::NetMsgsSent, st.msgs_sent);
-                reg.set(id, Metric::NetBytesSent, st.bytes_sent);
-                reg.set(id, Metric::NetMsgsRecv, st.msgs_recv);
-            }
-            if let Some(d) = node.dsm_stats_ref() {
-                reg.set(id, Metric::DsmFetches, d.fetches);
-                reg.set(id, Metric::DsmDiffs, d.diffs_sent);
-                reg.set(id, Metric::DsmInvalidations, d.invalidations);
-                reg.set(id, Metric::DsmLockGrants, d.grants_sent);
-            }
+        for (node, net) in self.nodes.iter().zip(&self.net.stats).take(reg.n_nodes()) {
+            node.publish_metrics(reg, net);
+            reg.set(node.id, Metric::HorizonPs, now);
+            reg.set(node.id, Metric::NextEventPs, now);
         }
     }
 
     fn join_worker(&mut self, time: u64, spec: NodeSpec) {
         let id = self.net.add_node(driver::link_params(spec));
-        let image = self.image.clone();
-        let mut w = NodeRuntime::new(id, spec, &self.config, image.clone(), self.thread_class);
-        // The joiner downloads the rewritten classes first (the paper's
-        // applet workers fetch them over HTTP).
+        let mut w = NodeRuntime::new(id, spec, &self.config, self.image.clone(), self.thread_class);
         if self.config.mode == Mode::JavaSplit {
-            let at = driver::ship_classes(&mut self.net, time, id, self.class_bytes);
+            // The joiner downloads the rewritten classes first (the paper's
+            // applet workers fetch them over HTTP), then caches the statics
+            // singletons (paper: new nodes join "simply by pointing a
+            // browser at the worker applet").
+            let at = self.net.send(time, CONSOLE_NODE, id, self.class_bytes, MsgKind::Control);
             w.set_cpu_floor(at);
-        }
-        // Late joiners also need the statics singletons (paper: new nodes
-        // join "simply by pointing a browser at the worker applet").
-        if self.config.mode == Mode::JavaSplit {
-            let singletons = driver::singleton_specs(&mut self.nodes[0], &image);
-            driver::install_singletons(&mut w, &image, &singletons);
+            driver::bootstrap_statics(&mut w, &self.image);
         }
         self.nodes.push(w);
         self.in_flight.push(0);
@@ -390,21 +341,11 @@ impl Cluster {
     pub fn run(mut self) -> RunReport {
         let started = std::time::Instant::now();
         // Side-band sampler: reads the registry on its own thread, never
-        // touches virtual time (no watchdog or flight recorder here — the
-        // sim driver cannot stall on a peer).
-        let telemetry = match (&self.config.metrics, &self.metrics) {
-            (Some(cfg), Some(reg)) => match Telemetry::start(cfg, reg.clone(), None, None) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("jsplit: cannot open metrics output: {e}");
-                    None
-                }
-            },
-            _ => None,
-        };
+        // touches virtual time.
+        let telemetry = Telemetry::arm(&self.config, self.metrics.as_ref(), None);
         let mut aborted = false;
         let mut processed: u64 = 0;
-        while let Some(Reverse((time, _, idx))) = self.events.pop() {
+        while let Some((time, ev)) = self.events.pop() {
             processed += 1;
             if self.metrics.is_some() && processed.is_multiple_of(4096) {
                 self.publish_metrics(time);
@@ -419,8 +360,6 @@ impl Cluster {
                 aborted = true;
                 break;
             }
-            let ev = self.payloads[idx].take().expect("event payload");
-            self.free_events.push(idx);
             match ev {
                 Ev::Local { node, ev: LocalEv::Slice { cpu, thread } } => self.run_slice(time, node, cpu, thread),
                 Ev::Local { node, ev: LocalEv::Wake { thread } } => self.wake(time, node, thread),
@@ -429,72 +368,43 @@ impl Cluster {
             }
         }
         let deadlocked = self.live_threads > 0 && !aborted;
-        // Collect console output from the console node's environment.
-        let mut out = self.nodes[CONSOLE_NODE as usize].take_console();
-        self.console.append(&mut out);
+        let mut nodes: Vec<NodeReport> = Vec::with_capacity(self.nodes.len());
+        let mut opstats: Option<jsplit_mjvm::opstats::OpStats> = None;
+        for (i, n) in self.nodes.iter_mut().enumerate() {
+            if let Some(st) = n.take_opstats() {
+                opstats.get_or_insert_with(Default::default).merge(&st);
+            }
+            nodes.push(NodeReport {
+                deadlocked,
+                aborted,
+                // The console node shipped the classes.
+                setup_ps: if i == CONSOLE_NODE as usize { self.setup_ps } else { 0 },
+                ..n.report(self.net.stats[i].clone())
+            });
+        }
         // Flush every worker's remaining buffered trace events at the
-        // horizon, then canonicalize the stream: per-node recording order
-        // is kept, cross-node ties at equal t break by node id, and thread
-        // uids are renamed by first appearance — the same normal form the
-        // threads driver produces from its per-node sinks, so traces are
-        // byte-comparable across backends.
-        let finish = self.nodes.iter().map(|n| n.finish_time).max().unwrap_or(0);
+        // horizon; the fold then canonicalizes the stream — per-node
+        // recording order is kept, cross-node ties at equal t break by node
+        // id, and thread uids are renamed by first appearance — the same
+        // normal form the threads driver's per-node sinks end in, so traces
+        // are byte-comparable across backends.
+        let finish = report::finish_time(&nodes);
         for n in 0..self.nodes.len() {
             self.drain_trace_buffers(n as NodeId, finish);
         }
         self.publish_metrics(finish);
-        let telemetry = telemetry.map(Telemetry::finish);
-        let trace = self.recorder.take().map(|r| jsplit_trace::canonicalize(r.into_events()));
-        let (breakdown, lock_stats) = match &trace {
-            Some(evs) => {
-                let cpus: Vec<u32> = vec![self.config.cpus_per_node as u32; self.nodes.len()];
-                (
-                    jsplit_trace::node_breakdown(evs, &cpus, finish),
-                    jsplit_trace::lock_contention(evs),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        let opstats = {
-            let mut merged: Option<jsplit_mjvm::opstats::OpStats> = None;
-            for n in self.nodes.iter_mut() {
-                if let Some(st) = n.take_opstats() {
-                    merged.get_or_insert_with(Default::default).merge(&st);
-                }
-            }
-            merged
-        };
-        let objprof = self.config.objprof.then(|| {
-            // Slice index = node id (joiners append in id order).
-            let profiles: Vec<jsplit_trace::ObjProfile> =
-                self.nodes.iter_mut().map(|n| n.take_objprof().unwrap_or_default()).collect();
-            jsplit_trace::build_report(&profiles)
-        });
-        RunReport {
-            exec_time_ps: finish,
-            output: self.console,
-            errors: self.errors,
-            deadlocked,
-            aborted,
-            ops: self.ops,
-            threads: self.total_threads,
-            net_per_node: self.net.stats.clone(),
-            dsm_per_node: self.nodes.iter_mut().filter_map(|n| n.dsm_stats()).collect(),
+        let facts = RunFacts {
             rewrite: self.rewrite,
-            setup_ps: self.setup_ps,
-            class_bytes: self.class_bytes as u64,
-            event_slab_high_water: self.payloads.len() as u64,
-            ops_per_node: self.nodes.iter().map(|n| n.ops).collect(),
-            trace,
-            breakdown,
-            lock_stats,
-            host_wall_secs: started.elapsed().as_secs_f64(),
-            sync: crate::report::SyncStats::default(),
-            wall: None,
-            telemetry,
+            class_bytes: self.class_bytes,
+            telemetry: telemetry.map(Telemetry::finish),
+            errors: self.errors,
+            event_slab: self.events.high_water(),
+            trace: self.recorder.take().map(|r| r.into_events()),
             opstats,
-            objprof,
-        }
+            host_wall_secs: started.elapsed().as_secs_f64(),
+            ..RunFacts::default()
+        };
+        RunReport::fold(&self.config, nodes, facts)
     }
 }
 

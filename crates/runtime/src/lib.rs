@@ -1,7 +1,7 @@
 //! # jsplit-runtime — the JavaSplit distributed runtime
 //!
 //! Ties every substrate together into the system of the paper's Figure 1,
-//! layered as *per-node runtime* / *driver* / *transport* (DESIGN.md §11):
+//! layered as *per-node runtime* / *driver* / *endpoint* (DESIGN.md §11):
 //!
 //! * [`node::NodeRuntime`] — everything that is per node in the paper's
 //!   sense (paper §2): its heap, its MTS-HLRC engine, its interpreter
@@ -18,9 +18,10 @@
 //!   counters, plus real parallel wall-clock speedup.
 //!   [`sockets::SocketsDriver`] runs the same rounds with one OS process
 //!   per node over localhost TCP.
-//! * The `Transport` trait (`jsplit-net`) abstracts the wire: the
-//!   virtual-time `Network` for sim, channel or TCP endpoints for the live
-//!   backends.
+//! * The wire (`jsplit-net`): the sim calls the virtual-time `Network`
+//!   directly; each live node owns a `ChannelEndpoint` over channels or
+//!   TCP. Every driver ends in [`report::RunReport`]'s one fold over
+//!   per-node reports.
 //!
 //! Two execution modes:
 //!
@@ -45,6 +46,7 @@ pub(crate) mod engine;
 pub mod env;
 pub mod exec;
 pub mod node;
+pub(crate) mod queue;
 pub mod report;
 pub mod sockets;
 pub mod telemetry;

@@ -16,6 +16,7 @@
 
 use crate::config::{ClusterConfig, Mode, NodeSpec};
 use crate::env::{JsEnv, NodeEnv};
+use crate::report::NodeReport;
 use jsplit_dsm::node::Action;
 use jsplit_dsm::{DsmConfig, DsmNode, Msg};
 use jsplit_mjvm::cost::CostModel;
@@ -24,8 +25,8 @@ use jsplit_mjvm::interp::{Frame, StepCtx, StepState, Thread, VmError};
 use jsplit_mjvm::loader::{ClassId, Image};
 use jsplit_mjvm::opstats::OpStats;
 use jsplit_mjvm::pcode::{self, PImage};
-use jsplit_net::NodeId;
-use jsplit_trace::TraceEvent;
+use jsplit_net::{NetStats, NodeId};
+use jsplit_trace::{Metric, MetricsRegistry, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -196,21 +197,47 @@ impl NodeRuntime {
         &mut self.env.js().dsm
     }
 
-    /// This node's DSM statistics (`None` in baseline mode).
-    pub fn dsm_stats(&self) -> Option<jsplit_dsm::DsmStats> {
-        match &self.env {
-            NodeEnv::Js(e) => Some(e.dsm.stats.clone()),
-            NodeEnv::Baseline(_) => None,
-        }
-    }
-
-    /// Borrowed view of the DSM statistics (`None` in baseline mode) —
+    /// This node's DSM statistics (`None` in baseline mode), borrowed —
     /// the metrics publish path reads a few counters per round and must
     /// not clone the whole struct each time.
     pub fn dsm_stats_ref(&self) -> Option<&jsplit_dsm::DsmStats> {
         match &self.env {
             NodeEnv::Js(e) => Some(&e.dsm.stats),
             NodeEnv::Baseline(_) => None,
+        }
+    }
+
+    /// This node's share of the run report: console, counters, DSM stats
+    /// and sharing profile; `net` is its network statistics. Everything the
+    /// driver owns (errors, end-of-run flags, sync counters) starts at zero.
+    pub(crate) fn report(&mut self, net: NetStats) -> NodeReport {
+        NodeReport {
+            console: self.take_console(),
+            ops: self.ops,
+            spawned_here: self.spawned_here,
+            finish_time: self.finish_time,
+            net,
+            dsm: self.dsm_stats_ref().cloned(),
+            objprof: self.take_objprof(),
+            ..NodeReport::default()
+        }
+    }
+
+    /// Store this node's registry cells that every driver publishes — ops,
+    /// live threads, network and DSM counters (the live engines add their
+    /// sync cells alongside).
+    pub(crate) fn publish_metrics(&self, reg: &MetricsRegistry, net: &NetStats) {
+        let id = self.id;
+        reg.set(id, Metric::Ops, self.ops);
+        reg.set(id, Metric::LiveThreads, self.live as u64);
+        reg.set(id, Metric::NetMsgsSent, net.msgs_sent);
+        reg.set(id, Metric::NetBytesSent, net.bytes_sent);
+        reg.set(id, Metric::NetMsgsRecv, net.msgs_recv);
+        if let Some(d) = self.dsm_stats_ref() {
+            reg.set(id, Metric::DsmFetches, d.fetches);
+            reg.set(id, Metric::DsmDiffs, d.diffs_sent);
+            reg.set(id, Metric::DsmInvalidations, d.invalidations);
+            reg.set(id, Metric::DsmLockGrants, d.grants_sent);
         }
     }
 

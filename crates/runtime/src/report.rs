@@ -1,14 +1,82 @@
 //! Run reports: everything the benchmarks and tests observe about a run.
+//!
+//! Every driver ends a run the same way: each node's results become a
+//! [`NodeReport`] (the sim builds them from its runtimes, the threads
+//! backend from its engines' outcomes, the sockets coordinator decodes them
+//! off the wire), and [`RunReport::fold`] turns the list into the run's
+//! report. What only some drivers have rides along in [`RunFacts`].
 
+use crate::config::ClusterConfig;
+use crate::env::CONSOLE_NODE;
 use jsplit_dsm::DsmStats;
 use jsplit_mjvm::heap::ThreadUid;
 use jsplit_mjvm::interp::VmError;
-use jsplit_net::NetStats;
+use jsplit_mjvm::opstats::OpStats;
+use jsplit_net::{FrameStats, NetStats};
 use jsplit_rewriter::RewriteStats;
 use jsplit_trace::{
-    Event, LockStat, NodeBreakdown, ObjProfReport, SpanKind, TelemetrySummary, WallProfile,
+    Event, LockStat, NodeBreakdown, ObjProfReport, ObjProfile, SpanKind, TelemetrySummary, WallProfile,
 };
 use std::fmt::Write as _;
+
+/// Everything one node contributes to the [`RunReport`] — the sockets
+/// backend carries it home from each worker in the `Report` envelope.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct NodeReport {
+    /// Console output (non-empty on the console node only).
+    pub console: Vec<String>,
+    /// Threads that trapped on this node (the sim records its errors
+    /// globally instead, in [`RunFacts::errors`]).
+    pub errors: Vec<(ThreadUid, VmError)>,
+    /// The cluster-wide end-of-run decision, identical on every node.
+    pub deadlocked: bool,
+    pub aborted: bool,
+    pub ops: u64,
+    pub spawned_here: u32,
+    pub finish_time: u64,
+    /// Final length of this node's event slab (0 under the sim, whose one
+    /// global slab is [`RunFacts::event_slab`]).
+    pub slab_high_water: u64,
+    /// Epoch rounds (identical on every node; 0 under the sim).
+    pub windows: u64,
+    pub barrier_waits: u64,
+    /// Latest class-file arrival this node planned (the console node ships
+    /// the classes; 0 elsewhere).
+    pub setup_ps: u64,
+    pub net: NetStats,
+    pub dsm: Option<DsmStats>,
+    pub frames: FrameStats,
+    /// Rendered flight-recorder tail (sockets workers only; "" elsewhere).
+    pub flight: String,
+    /// Per-object sharing profile (`None` unless the profiler is on).
+    pub objprof: Option<ObjProfile>,
+}
+
+/// The inputs to [`RunReport::fold`] that are not per node.
+#[derive(Default)]
+pub(crate) struct RunFacts {
+    pub rewrite: Option<RewriteStats>,
+    pub class_bytes: usize,
+    pub host_wall_secs: f64,
+    pub telemetry: Option<TelemetrySummary>,
+    /// The sim's errors, in their global occurrence order (live drivers
+    /// report theirs per node).
+    pub errors: Vec<(ThreadUid, VmError)>,
+    /// The sim's one global event slab (live drivers' slabs are per node).
+    pub event_slab: u64,
+    /// Every node's recorded events, leftover buffers already flushed at
+    /// the global finish time ([`finish_time`]); `None` when untraced.
+    pub trace: Option<Vec<Event>>,
+    /// The threads backend's wall-clock profile.
+    pub wall: Option<WallProfile>,
+    /// The sim's merged opcode counters.
+    pub opstats: Option<OpStats>,
+}
+
+/// Virtual time at which the run's last thread finished.
+pub(crate) fn finish_time(nodes: &[NodeReport]) -> u64 {
+    nodes.iter().map(|n| n.finish_time).max().unwrap_or(0)
+}
 
 /// Synchronization-layer counters from the threads backend (all zero under
 /// the sim backend, which has no windows or frames). Deliberately *not*
@@ -127,6 +195,63 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Fold the per-node reports (in node order) into the run's report —
+    /// the one place every driver's results are assembled. Traces are
+    /// canonicalized here, so a trace comes out in the same normal form
+    /// whichever driver recorded it (DESIGN.md §13.3).
+    pub(crate) fn fold(config: &ClusterConfig, mut nodes: Vec<NodeReport>, facts: RunFacts) -> RunReport {
+        let finish = finish_time(&nodes);
+        let mut errors = facts.errors;
+        for n in &mut nodes {
+            errors.append(&mut n.errors);
+        }
+        let trace = facts.trace.map(jsplit_trace::canonicalize);
+        let (breakdown, lock_stats) = match &trace {
+            Some(evs) => {
+                let cpus = vec![config.cpus_per_node as u32; nodes.len()];
+                (jsplit_trace::node_breakdown(evs, &cpus, finish), jsplit_trace::lock_contention(evs))
+            }
+            None => (Vec::new(), Vec::new()),
+        };
+        let objprof = config.objprof.then(|| {
+            let profiles: Vec<ObjProfile> = nodes.iter_mut().map(|n| n.objprof.take().unwrap_or_default()).collect();
+            jsplit_trace::build_report(&profiles)
+        });
+        let output = std::mem::take(&mut nodes[CONSOLE_NODE as usize].console);
+        let sum = |f: fn(&NodeReport) -> u64| nodes.iter().map(f).sum::<u64>();
+        RunReport {
+            exec_time_ps: finish,
+            output,
+            errors,
+            deadlocked: nodes[0].deadlocked,
+            aborted: nodes[0].aborted,
+            ops: sum(|n| n.ops),
+            threads: nodes.iter().map(|n| n.spawned_here).sum(),
+            net_per_node: nodes.iter().map(|n| n.net.clone()).collect(),
+            dsm_per_node: nodes.iter().filter_map(|n| n.dsm.clone()).collect(),
+            rewrite: facts.rewrite,
+            setup_ps: nodes.iter().map(|n| n.setup_ps).max().unwrap_or(0),
+            class_bytes: facts.class_bytes as u64,
+            event_slab_high_water: nodes.iter().map(|n| n.slab_high_water).max().unwrap_or(0).max(facts.event_slab),
+            ops_per_node: nodes.iter().map(|n| n.ops).collect(),
+            trace,
+            breakdown,
+            lock_stats,
+            host_wall_secs: facts.host_wall_secs,
+            sync: SyncStats {
+                windows: nodes[0].windows,
+                barrier_waits: sum(|n| n.barrier_waits),
+                frames_sent: sum(|n| n.frames.frames_sent),
+                frame_bytes: sum(|n| n.frames.frame_bytes),
+                msgs_framed: sum(|n| n.frames.msgs_framed),
+            },
+            wall: facts.wall,
+            telemetry: facts.telemetry,
+            opstats: facts.opstats,
+            objprof,
+        }
+    }
+
     /// Execution time in (virtual) seconds.
     pub fn exec_time_secs(&self) -> f64 {
         self.exec_time_ps as f64 / jsplit_mjvm::cost::PS_PER_SEC as f64

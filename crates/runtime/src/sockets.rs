@@ -53,14 +53,12 @@
 //! and threads backends (asserted by the differential tests in
 //! `tests/sockets.rs`).
 
-use crate::balance::{Balancer, BalancerState};
+use crate::balance::Balancer;
 use crate::config::{Backend, ClusterConfig, Mode, NodeSpec};
 use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{EpochPeers, EpochSlot, Horizons, SyncEngine};
-use crate::env::CONSOLE_NODE;
-use crate::node::NodeRuntime;
-use crate::report::{RunReport, SyncStats};
-use crate::telemetry::{Telemetry, WatchdogSpec};
+use crate::engine::{EpochPeers, EpochSlot, SyncEngine};
+use crate::report::{NodeReport, RunFacts, RunReport};
+use crate::telemetry::Telemetry;
 use jsplit_dsm::{DsmStats, ProtocolMode};
 use jsplit_mjvm::classfile_io::{decode_program, encode_program};
 use jsplit_mjvm::cost::JvmProfile;
@@ -72,7 +70,7 @@ use jsplit_net::tcp::{
     WF_OBJPROF,
 };
 use jsplit_net::transport::FrameStats;
-use jsplit_net::{ChannelEndpoint, Frame, NetStats, NodeId, SoloSetup};
+use jsplit_net::{ChannelEndpoint, Frame, NetStats, NodeId};
 use jsplit_trace::{FlightRecorder, MetricsRegistry, ObjProfile, ALL_METRICS, METRICS};
 use std::collections::HashMap;
 use std::io;
@@ -194,33 +192,8 @@ fn decode_wire_config(bytes: &[u8]) -> Result<ClusterConfig, CodecError> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker report wire form
+// Node report wire form (the worker's `Report` envelope)
 // ---------------------------------------------------------------------------
-
-/// Everything one worker contributes to the final [`RunReport`], carried
-/// home in the `Report` envelope.
-#[derive(Debug, PartialEq)]
-struct WorkerReport {
-    console: Vec<String>,
-    errors: Vec<(ThreadUid, VmError)>,
-    deadlocked: bool,
-    aborted: bool,
-    ops: u64,
-    spawned_here: u32,
-    finish_time: u64,
-    slab_high_water: u64,
-    windows: u64,
-    barrier_waits: u64,
-    setup_ps: u64,
-    net: NetStats,
-    dsm: Option<DsmStats>,
-    frames: FrameStats,
-    /// Rendered flight-recorder tail ("" unless `Welcome` armed it) — the
-    /// coordinator prints it when its watchdog fired during the run.
-    flight: String,
-    /// Per-object sharing profile (`None` unless `Welcome` armed it).
-    objprof: Option<ObjProfile>,
-}
 
 fn encode_vm_error(w: &mut Writer, e: &VmError) {
     match e {
@@ -342,7 +315,7 @@ fn decode_dsm_stats(r: &mut Reader<&[u8]>) -> Result<DsmStats, CodecError> {
     })
 }
 
-fn encode_worker_report(rep: &WorkerReport) -> Vec<u8> {
+fn encode_node_report(rep: &NodeReport) -> Vec<u8> {
     let mut w = Writer::new();
     w.varu(rep.console.len() as u64);
     for line in &rep.console {
@@ -389,7 +362,7 @@ fn encode_worker_report(rep: &WorkerReport) -> Vec<u8> {
     }
 }
 
-fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
+fn decode_node_report(bytes: &[u8]) -> Result<NodeReport, CodecError> {
     let mut r = Reader::new(bytes);
     let n_console = r.varu()? as usize;
     let mut console = Vec::with_capacity(n_console.min(1 << 16));
@@ -429,7 +402,7 @@ fn decode_worker_report(bytes: &[u8]) -> Result<WorkerReport, CodecError> {
             Some(ObjProfile::decode(bytes, &mut pos).ok_or(CodecError("bad objprof payload"))?)
         }
     };
-    Ok(WorkerReport {
+    Ok(NodeReport {
         console,
         errors,
         deadlocked,
@@ -718,15 +691,6 @@ fn run_worker_body(
     // bytes: rewrite, image, class-distribution size — no derived state
     // crosses the wire.
     let prepared = driver::prepare(&config, &program)?;
-    let links: Vec<_> = config.nodes.iter().map(|s| driver::link_params(*s)).collect();
-    for l in &links {
-        assert!(
-            l.loopback_ps() <= l.base_ps(),
-            "loopback bound {} ps above link base {} ps",
-            l.loopback_ps(),
-            l.base_ps()
-        );
-    }
 
     // Endpoint plumbing: the engine writes the socket directly (TcpFrameLink),
     // the ingress pump feeds decoded Data frames into `frame_rx` and
@@ -735,8 +699,8 @@ fn run_worker_body(
     let (pool_tx, pool_rx) = mpsc::channel::<Vec<u8>>();
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<io::Result<Envelope>>();
     let wire = Box::new(TcpFrameLink::new(stream.try_clone().map_err(sock_err)?, pool_tx));
-    let mut endpoint =
-        ChannelEndpoint::single(me, n, links[me as usize], wire, frame_rx, pool_rx, true);
+    let link = driver::link_params(config.nodes[me as usize]);
+    let endpoint = ChannelEndpoint::single(me, n, link, wire, frame_rx, pool_rx, true);
     let mut pump_stream = stream.try_clone().map_err(sock_err)?;
     thread::spawn(move || loop {
         match tcp::read_envelope(&mut pump_stream) {
@@ -757,55 +721,18 @@ fn run_worker_body(
         }
     });
 
-    let mut node =
-        NodeRuntime::new(me, config.nodes[me as usize], &config, prepared.image.clone(), prepared.thread_class);
-    // Setup accounting, replicated per process: worker 0 plans the class
-    // sends (it is the console node that ships them), every other worker
-    // records its own receive — together they reproduce exactly the mesh
-    // accounting the threads driver does centrally, without any setup
-    // bytes actually crossing the wire.
-    let mut setup_ps = 0u64;
-    if config.mode == Mode::JavaSplit {
-        if me == CONSOLE_NODE {
-            for dst in 1..n {
-                let at = driver::ship_classes(&mut SoloSetup(&mut endpoint), 0, dst as NodeId, prepared.class_bytes);
-                setup_ps = setup_ps.max(at);
-            }
-            driver::bootstrap_statics(std::slice::from_mut(&mut node), &prepared.image);
-        } else {
-            driver::ship_classes(&mut SoloSetup(&mut endpoint), 0, me, prepared.class_bytes);
-            // Replay node 0's singleton creation on a scratch runtime: gid
-            // assignment is deterministic, so the specs come out identical
-            // to the ones the real node 0 produced in its own process.
-            let mut scratch =
-                NodeRuntime::new(0, config.nodes[0], &config, prepared.image.clone(), prepared.thread_class);
-            driver::bootstrap_statics(std::slice::from_mut(&mut scratch), &prepared.image);
-            let singles = driver::singleton_specs(&mut scratch, &prepared.image);
-            driver::install_singletons(&mut node, &prepared.image, &singles);
-        }
-    }
-
-    let base_ps: Vec<u64> = links.iter().map(|l| l.base_ps()).collect();
-    let hz = Horizons { base_ps, max_ops: config.max_ops };
-    let main_method = prepared.image.main_method;
-    let main_locals = prepared.image.method(main_method).max_locals;
-    let mut eng = SyncEngine::new(
-        node,
-        endpoint,
-        hz,
-        config.mode,
-        prepared.thread_main,
-        n,
-        BalancerState::new(config.balancer),
-    );
-    eng.t0 = Instant::now();
-    eng.flight = flight.clone();
-    if metrics_interval_us > 0 {
-        // Local one-writer registry; the pump ships our row toward the
-        // coordinator's merged registry from the engine thread, so the
-        // envelope never interleaves with frames or control traffic.
-        let reg = MetricsRegistry::new(n);
-        eng.metrics = Some(reg.clone());
+    // The same live node the threads backend builds. Setup accounting is
+    // replicated per process: worker 0 plans the class sends, every other
+    // worker records its own receive — together exactly the threads
+    // backend's per-endpoint accounting, without any setup bytes crossing
+    // the wire.
+    let live = driver::live_node(&config, &prepared, endpoint);
+    // Local one-writer registry; the pump ships our row toward the
+    // coordinator's merged registry from the engine thread, so the envelope
+    // never interleaves with frames or control traffic.
+    let registry = (metrics_interval_us > 0).then(|| MetricsRegistry::new(n));
+    let mut eng = SyncEngine::boot(live, &config, prepared.thread_main, registry.clone(), flight.clone());
+    if let Some(reg) = registry {
         let mut pump_sock = stream.try_clone().map_err(sock_err)?;
         let interval = Duration::from_micros(metrics_interval_us.max(1));
         let mut last: Option<Instant> = None;
@@ -819,10 +746,6 @@ fn run_worker_body(
                 .unwrap_or_else(|e| panic!("worker {me}: coordinator connection lost: {e}"));
         }));
     }
-    if me == CONSOLE_NODE {
-        eng.bootstrap_main(main_method, main_locals);
-    }
-    eng.drain_trace(0);
     let mut link = WirePeerLink {
         sock: stream.try_clone().map_err(sock_err)?,
         ctrl: ctrl_rx,
@@ -830,28 +753,11 @@ fn run_worker_body(
         round: 0,
         slots: vec![[0; 5]; n],
     };
-    let mut outcome = eng.run_epoch(&mut link);
-
-    let console = if me == CONSOLE_NODE { outcome.node.take_console() } else { Vec::new() };
-    let rep = WorkerReport {
-        console,
-        errors: std::mem::take(&mut outcome.errors),
-        deadlocked: outcome.deadlocked,
-        aborted: outcome.aborted,
-        ops: outcome.node.ops,
-        spawned_here: outcome.node.spawned_here,
-        finish_time: outcome.node.finish_time,
-        slab_high_water: outcome.slab_high_water,
-        windows: outcome.windows,
-        barrier_waits: outcome.barrier_waits,
-        setup_ps,
-        net: outcome.endpoint.stats.clone(),
-        dsm: outcome.node.dsm_stats(),
-        frames: outcome.endpoint.frame_stats,
+    let rep = NodeReport {
         flight: flight.as_ref().map(|f| f.render()).unwrap_or_default(),
-        objprof: outcome.node.take_objprof(),
+        ..eng.run_epoch(&mut link).report
     };
-    tcp::write_envelope(&mut stream, &Envelope::Report { body: encode_worker_report(&rep) })
+    tcp::write_envelope(&mut stream, &Envelope::Report { body: encode_node_report(&rep) })
         .map_err(sock_err)?;
     Ok(())
 }
@@ -863,7 +769,7 @@ fn run_worker_body(
 /// The multi-process backend's coordinator: binds a listener, (optionally)
 /// fork/execs one worker per node, handshakes them in, then acts as the
 /// cluster's star switch — relaying data frames and sequencing epoch
-/// rounds — until every worker has filed its [`WorkerReport`].
+/// rounds — until every worker has filed its node report.
 pub struct SocketsDriver {
     config: ClusterConfig,
     prepared: Prepared,
@@ -1062,21 +968,8 @@ impl SocketsDriver {
         // envelopes merge into, sampled and watchdogged exactly like the
         // threads backend samples its shared-memory registry — so the
         // NDJSON stream and the end-of-run summary are schema-identical.
-        let metrics_cfg = self.config.metrics.clone();
-        let registry = metrics_cfg.as_ref().map(|_| MetricsRegistry::new(n));
-        let mut telemetry = metrics_cfg.as_ref().and_then(|cfg| {
-            let wd = cfg.watchdog_budget.map(|d| WatchdogSpec {
-                budget_ms: (d.as_millis() as u64).max(1),
-                base_ps: self.config.nodes.iter().map(|s| driver::link_params(*s).base_ps()).collect(),
-            });
-            match Telemetry::start(cfg, registry.clone().expect("registry"), None, wd) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("metrics: cannot open {:?}: {e}; sampling disabled", cfg.out);
-                    None
-                }
-            }
-        });
+        let registry = self.config.metrics.as_ref().map(|_| MetricsRegistry::new(n));
+        let mut telemetry = Telemetry::arm(&self.config, registry.as_ref(), None);
 
         // One reader thread per worker feeds a single sequencing queue;
         // this main thread does every write. Per-producer mpsc FIFO is the
@@ -1218,11 +1111,11 @@ impl SocketsDriver {
         // registry) and fold the time series into the report.
         let telemetry_summary = telemetry.take().map(Telemetry::finish);
 
-        let reports: Vec<WorkerReport> = report_blobs
+        let reports: Vec<NodeReport> = report_blobs
             .into_iter()
             .enumerate()
             .map(|(i, b)| {
-                decode_worker_report(&b.expect("report counted"))
+                decode_node_report(&b.expect("report counted"))
                     .map_err(|e| ClusterError::Config(format!("sockets coordinator: bad report from worker {i}: {e}")))
             })
             .collect::<Result<_, _>>()?;
@@ -1235,64 +1128,14 @@ impl SocketsDriver {
                 }
             }
         }
-        Ok(self.assemble(started, reports, telemetry_summary))
-    }
-
-    /// Fold the per-worker reports into the same [`RunReport`] shape the
-    /// sim and threads drivers produce (minus trace/profile, which the
-    /// sockets backend rejects at construction).
-    fn assemble(
-        self,
-        started: Instant,
-        mut reports: Vec<WorkerReport>,
-        telemetry: Option<jsplit_trace::TelemetrySummary>,
-    ) -> RunReport {
-        let mut errors: Vec<(ThreadUid, VmError)> = Vec::new();
-        let mut console = Vec::new();
-        for (i, r) in reports.iter_mut().enumerate() {
-            errors.append(&mut r.errors);
-            if i == CONSOLE_NODE as usize {
-                console = std::mem::take(&mut r.console);
-            }
-        }
-        let objprof = self.config.objprof.then(|| {
-            // Slice index = node id (reports are in node order).
-            let profiles: Vec<ObjProfile> =
-                reports.iter_mut().map(|r| r.objprof.take().unwrap_or_default()).collect();
-            jsplit_trace::build_report(&profiles)
-        });
-        let sync = SyncStats {
-            windows: reports[0].windows,
-            barrier_waits: reports.iter().map(|r| r.barrier_waits).sum(),
-            frames_sent: reports.iter().map(|r| r.frames.frames_sent).sum(),
-            frame_bytes: reports.iter().map(|r| r.frames.frame_bytes).sum(),
-            msgs_framed: reports.iter().map(|r| r.frames.msgs_framed).sum(),
-        };
-        RunReport {
-            exec_time_ps: reports.iter().map(|r| r.finish_time).max().unwrap_or(0),
-            output: console,
-            errors,
-            deadlocked: reports[0].deadlocked,
-            aborted: reports[0].aborted,
-            ops: reports.iter().map(|r| r.ops).sum(),
-            threads: reports.iter().map(|r| r.spawned_here).sum(),
-            net_per_node: reports.iter().map(|r| r.net.clone()).collect(),
-            dsm_per_node: reports.iter().filter_map(|r| r.dsm.clone()).collect(),
+        let facts = RunFacts {
             rewrite: self.prepared.rewrite,
-            setup_ps: reports.iter().map(|r| r.setup_ps).max().unwrap_or(0),
-            class_bytes: self.prepared.class_bytes as u64,
-            event_slab_high_water: reports.iter().map(|r| r.slab_high_water).max().unwrap_or(0),
-            ops_per_node: reports.iter().map(|r| r.ops).collect(),
-            trace: None,
-            breakdown: Vec::new(),
-            lock_stats: Vec::new(),
+            class_bytes: self.prepared.class_bytes,
             host_wall_secs: started.elapsed().as_secs_f64(),
-            sync,
-            wall: None,
-            telemetry,
-            opstats: None,
-            objprof,
-        }
+            telemetry: telemetry_summary,
+            ..RunFacts::default()
+        };
+        Ok(RunReport::fold(&self.config, reports, facts))
     }
 }
 
@@ -1355,7 +1198,7 @@ mod tests {
             notice_mem_max: 512,
             ..DsmStats::default()
         };
-        let rep = WorkerReport {
+        let rep = NodeReport {
             console: vec!["hello".into(), "world".into()],
             errors: vec![
                 (3, VmError::NullDeref { method: "Foo.bar".into(), pc: 17 }),
@@ -1385,10 +1228,10 @@ mod tests {
                 p
             }),
         };
-        let got = decode_worker_report(&encode_worker_report(&rep)).unwrap();
+        let got = decode_node_report(&encode_node_report(&rep)).unwrap();
         assert_eq!(got, rep);
         // The dsm-less, observer-less (baseline) shape too.
-        let rep2 = WorkerReport {
+        let rep2 = NodeReport {
             dsm: None,
             console: Vec::new(),
             errors: Vec::new(),
@@ -1396,7 +1239,7 @@ mod tests {
             objprof: None,
             ..rep
         };
-        let got2 = decode_worker_report(&encode_worker_report(&rep2)).unwrap();
+        let got2 = decode_node_report(&encode_node_report(&rep2)).unwrap();
         assert_eq!(got2, rep2);
     }
 }

@@ -38,7 +38,7 @@
 //! (prints the chain and the flight-recorder timeline) and records a
 //! [`StallReport`]; it never kills the run.
 
-use crate::config::MetricsConfig;
+use crate::config::{ClusterConfig, MetricsConfig};
 use jsplit_net::NodeId;
 use jsplit_trace::{
     FlightRecorder, LogHist, Metric, MetricsRegistry, StallReport, TelemetrySummary, METRICS,
@@ -198,6 +198,31 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
+    /// Arm live telemetry for a run configured with metrics (`None`
+    /// otherwise): the sampler over `registry`, plus the stall watchdog when
+    /// a budget is configured (it can only fire on a live backend — the sim
+    /// never raises the parked gauge). An output file that cannot be
+    /// created disables sampling with a message on stderr; the run itself
+    /// proceeds.
+    pub(crate) fn arm(
+        config: &ClusterConfig,
+        registry: Option<&Arc<MetricsRegistry>>,
+        flight: Option<Arc<FlightRecorder>>,
+    ) -> Option<Telemetry> {
+        let (cfg, registry) = (config.metrics.as_ref()?, registry?);
+        let watchdog = cfg.watchdog_budget.map(|d| WatchdogSpec {
+            budget_ms: (d.as_millis() as u64).max(1),
+            base_ps: config.nodes.iter().map(|s| crate::driver::link_params(*s).base_ps()).collect(),
+        });
+        match Telemetry::start(cfg, registry.clone(), flight, watchdog) {
+            Ok(t) => Some(t),
+            Err(e) => {
+                eprintln!("metrics: cannot open {:?}: {e}; sampling disabled", cfg.out);
+                None
+            }
+        }
+    }
+
     /// Spawn the sampler. `watchdog` arms the stall watchdog (threads
     /// backend); `flight` is dumped alongside any stall diagnosis. Returns
     /// `Err` if the `--metrics` output file cannot be created.

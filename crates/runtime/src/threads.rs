@@ -1,4 +1,5 @@
-//! The multi-threaded driver: each [`NodeRuntime`] on its own OS thread,
+//! The multi-threaded driver: each [`NodeRuntime`](crate::node::NodeRuntime)
+//! on its own OS thread,
 //! protocol messages crossing channels as *encoded bytes* — the paper's
 //! actual deployment shape (§2: independent runtimes on commodity
 //! workstations exchanging messages), where the sim driver is its
@@ -25,10 +26,11 @@
 //! ## Tracing and profiling
 //!
 //! Virtual-time tracing works here too: each node records its own events
-//! into a private `TraceSink` (no cross-thread synchronization), and the
-//! driver merges the per-node streams at join through
-//! [`jsplit_trace::canonicalize`] — the same normal form the sim driver
-//! applies to its global recording — so a traced threads run produces a
+//! into a private `TraceSink` (no cross-thread synchronization); the
+//! driver concatenates the per-node streams at join and
+//! [`RunReport::fold`] puts them in the same normal form
+//! ([`jsplit_trace::canonicalize`]) as the sim's global recording, so a
+//! traced threads run produces a
 //! byte-identical event stream to the sim backend (asserted by the
 //! differential trace test). Wall-clock profiling ([`ClusterConfig`]'s
 //! `profile`) adds a per-node [`SpanRecorder`]: boundary-timestamp marks
@@ -40,18 +42,13 @@
 //! and the `max_ops` abort guard is enforced at window granularity rather
 //! than per event.
 
-use crate::balance::BalancerState;
-use crate::config::{ClusterConfig, Mode};
-use crate::driver::{self, ClusterError, Prepared};
-use crate::engine::{make_node_sink, EpochPeers, EpochSlot, Horizons, NodeOutcome, SyncEngine};
-use crate::env::CONSOLE_NODE;
-use crate::node::NodeRuntime;
-use crate::report::{RunReport, SyncStats};
-use crate::telemetry::{Telemetry, WatchdogSpec};
-use jsplit_mjvm::heap::ThreadUid;
-use jsplit_mjvm::interp::VmError;
-use jsplit_net::{ChannelEndpoint, MeshSetup, NodeId};
-use jsplit_trace::{Event, FlightRecorder, MetricsRegistry, SpanRecorder, WallProfile};
+use crate::config::ClusterConfig;
+use crate::driver::{self, ClusterError, LiveNode, Prepared};
+use crate::engine::{EpochPeers, EpochSlot, SyncEngine};
+use crate::report::{self, RunFacts, RunReport};
+use crate::telemetry::Telemetry;
+use jsplit_net::{ChannelEndpoint, NodeId};
+use jsplit_trace::{FlightRecorder, MetricsRegistry, SpanRecorder, WallProfile};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::Instant;
@@ -182,63 +179,29 @@ impl EpochPeers for ThreadPeers {
 pub struct ThreadsDriver {
     config: ClusterConfig,
     prepared: Prepared,
-    nodes: Vec<NodeRuntime>,
-    endpoints: Vec<ChannelEndpoint>,
-    setup_ps: u64,
+    nodes: Vec<LiveNode>,
 }
 
 impl ThreadsDriver {
-    /// Prepare a run: rewrite, load, build the channel mesh and the node
-    /// runtimes, ship classes, bootstrap statics — the same setup sequence
-    /// as the sim driver, against the channel transport.
+    /// Prepare a run: rewrite, load, build the channel mesh and a live node
+    /// on each endpoint — the same setup sequence as the sim driver,
+    /// against the channel transport.
     pub fn new(config: ClusterConfig, program: &jsplit_mjvm::class::Program) -> Result<ThreadsDriver, ClusterError> {
         driver::check_live(&config, "threads")?;
         let prepared = driver::prepare(&config, program)?;
         let links: Vec<_> = config.nodes.iter().map(|s| driver::link_params(*s)).collect();
-        // The loopback bound is profile-derived and must sit below every
-        // conservative horizon built from base latencies — the clamp in
-        // `loopback_ps` guarantees it; this makes the assumption explicit.
-        for l in &links {
-            assert!(l.loopback_ps() <= l.base_ps(), "loopback bound {} ps above link base {} ps", l.loopback_ps(), l.base_ps());
-        }
-        let mut endpoints = ChannelEndpoint::mesh(&links, true);
-        // Arm the per-endpoint trace/histogram buffers *before* class
-        // shipping so setup-phase `NetSend`s are captured, like the sim's
-        // global network trace.
-        if config.trace.is_some() {
-            for ep in &mut endpoints {
-                ep.trace = Some(Vec::new());
-            }
-        }
-        if config.profile || config.trace.is_some() {
-            for ep in &mut endpoints {
-                ep.frame_hist = Some(jsplit_trace::LogHist::new());
-            }
-        }
-        let mut nodes: Vec<NodeRuntime> = config
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| NodeRuntime::new(i as NodeId, *spec, &config, prepared.image.clone(), prepared.thread_class))
+        let nodes = ChannelEndpoint::mesh(&links, true)
+            .into_iter()
+            .map(|ep| driver::live_node(&config, &prepared, ep))
             .collect();
-        let mut setup_ps = 0;
-        if config.mode == Mode::JavaSplit {
-            for i in 1..nodes.len() {
-                let at = driver::ship_classes(&mut MeshSetup(&mut endpoints), 0, i as NodeId, prepared.class_bytes);
-                setup_ps = setup_ps.max(at);
-            }
-            driver::bootstrap_statics(&mut nodes, &prepared.image);
-        }
-        Ok(ThreadsDriver { config, prepared, nodes, endpoints, setup_ps })
+        Ok(ThreadsDriver { config, prepared, nodes })
     }
 
-    /// Run to completion: one OS thread per node, then merge the outcomes
+    /// Run to completion: one OS thread per node, then fold the outcomes
     /// into the same [`RunReport`] shape the sim driver produces.
     pub fn run(self) -> RunReport {
         let started = std::time::Instant::now();
         let n = self.nodes.len();
-        let base_ps: Vec<u64> = self.config.nodes.iter().map(|s| driver::link_params(*s).base_ps()).collect();
-        let hz = Horizons { base_ps, max_ops: self.config.max_ops };
         let shared = Arc::new(Shared {
             slots: (0..n).map(|_| NodeSlot::default()).collect(),
             barrier: Barrier::new(n),
@@ -248,173 +211,69 @@ impl ThreadsDriver {
         // Live telemetry: registry + flight recorder shared with the node
         // threads, sampler/watchdog on a side-band thread. All `None`
         // without `--metrics` — the hot paths then pay one untaken branch.
-        let metrics_cfg = self.config.metrics.clone();
-        let registry = metrics_cfg.as_ref().map(|_| MetricsRegistry::new(n));
-        let flight = metrics_cfg.as_ref().filter(|c| c.flight).map(|_| FlightRecorder::new(n));
+        let registry = self.config.metrics.as_ref().map(|_| MetricsRegistry::new(n));
+        let flight = self.config.metrics.as_ref().filter(|c| c.flight).map(|_| FlightRecorder::new(n));
         if let Some(f) = &flight {
             jsplit_trace::arm_panic_dump(f);
         }
-        let telemetry = metrics_cfg.as_ref().and_then(|cfg| {
-            let wd = cfg.watchdog_budget.map(|d| WatchdogSpec {
-                budget_ms: (d.as_millis() as u64).max(1),
-                base_ps: hz.base_ps.clone(),
-            });
-            match Telemetry::start(cfg, registry.clone().expect("registry"), flight.clone(), wd) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("metrics: cannot open {:?}: {e}; sampling disabled", cfg.out);
-                    None
-                }
-            }
-        });
-        let mode = self.config.mode;
+        let telemetry = Telemetry::arm(&self.config, registry.as_ref(), flight.clone());
+        let config = Arc::new(self.config);
         let thread_main = self.prepared.thread_main;
-        let main_method = self.prepared.image.main_method;
-        let main_locals = self.prepared.image.method(main_method).max_locals;
-        let balancer = self.config.balancer;
-        let trace_mode = self.config.trace;
-        let profile_on = self.config.profile || trace_mode.is_some();
+        let profile_on = config.profile || config.trace.is_some();
         // Raw spans (the Chrome real-time lanes) are only worth their
         // memory when a trace export was requested.
-        let keep_spans = trace_mode.is_some();
+        let keep_spans = config.trace.is_some();
 
         let mut handles = Vec::with_capacity(n);
-        for (node, endpoint) in self.nodes.into_iter().zip(self.endpoints) {
-            let shared = shared.clone();
-            let mut eng = SyncEngine::new(node, endpoint, hz.clone(), mode, thread_main, n, BalancerState::new(balancer));
-            eng.recorder = trace_mode.map(make_node_sink);
-            eng.metrics = registry.clone();
-            eng.flight = flight.clone();
-            eng.t0 = started;
-            eng.stall_inject_ms = metrics_cfg
-                .as_ref()
-                .and_then(|c| c.stall_inject)
-                .filter(|&(node, _)| node == eng.endpoint.id)
-                .map(|(_, ms)| ms);
+        for live in self.nodes {
+            let (shared, config, registry, flight) = (shared.clone(), config.clone(), registry.clone(), flight.clone());
             handles.push(std::thread::spawn(move || {
                 // Wall time and the span origin are anchored at the node
                 // thread itself, so thread-spawn latency stays outside the
                 // profile; `started` remains the shared cross-thread axis.
-                eng.t0 = Instant::now();
-                if profile_on {
-                    eng.profiler = Some(SpanRecorder::new(started, keep_spans));
-                }
-                // The main thread starts on worker 0 (§2), before the first
-                // round so the first published snapshot already counts it.
-                if eng.endpoint.id == CONSOLE_NODE {
-                    eng.bootstrap_main(main_method, main_locals);
-                }
-                // Setup-phase activity (statics bootstrap, class shipping)
-                // is part of the trace; stamp it at t = 0 like the sim.
-                eng.drain_trace(0);
+                let t0 = Instant::now();
+                let profiler = profile_on.then(|| SpanRecorder::new(started, keep_spans));
+                let mut eng = SyncEngine::boot(live, &config, thread_main, registry, flight);
+                eng.t0 = t0;
+                eng.profiler = profiler;
                 eng.run_epoch(&mut ThreadPeers { shared })
             }));
         }
-        let mut outcomes: Vec<NodeOutcome> = handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect();
-        outcomes.sort_by_key(|o| o.node.id);
+        let outcomes: Vec<_> = handles.into_iter().map(|h| h.join().expect("node thread panicked")).collect();
         // Stop the sampler (it takes one closing sample of the final
         // published counters) and fold the time series into the report.
-        let telemetry_summary = telemetry.map(Telemetry::finish);
+        let telemetry = telemetry.map(Telemetry::finish);
         if let Some(f) = &flight {
             jsplit_trace::disarm_panic_dump(f);
         }
-
         let host_wall_secs = started.elapsed().as_secs_f64();
-        let deadlocked = outcomes[0].deadlocked;
-        let aborted = outcomes[0].aborted;
-        let mut errors: Vec<(ThreadUid, VmError)> = Vec::new();
-        let mut console = Vec::new();
-        for o in &mut outcomes {
-            errors.append(&mut o.errors);
-            if o.node.id == CONSOLE_NODE {
-                console = o.node.take_console();
-            }
+
+        // Merge the per-node streams into the sim's normal form: each node's
+        // leftover buffers flush at the global finish time (exactly what the
+        // sim's final drain does), concatenated in node order; the fold
+        // canonicalizes — byte-identical to a sim trace of the same program
+        // as long as each node records the same per-node event sequence,
+        // which the differential trace tests assert.
+        let mut nodes = Vec::with_capacity(n);
+        let (mut tails, mut profiles) = (Vec::new(), Vec::new());
+        for o in outcomes {
+            nodes.push(o.report);
+            tails.extend(o.trace);
+            profiles.extend(o.profile);
         }
-        let sync = SyncStats {
-            // Epoch rounds are cluster-global (identical on every node).
-            windows: outcomes[0].windows,
-            barrier_waits: outcomes.iter().map(|o| o.barrier_waits).sum(),
-            frames_sent: outcomes.iter().map(|o| o.endpoint.frame_stats.frames_sent).sum(),
-            frame_bytes: outcomes.iter().map(|o| o.endpoint.frame_stats.frame_bytes).sum(),
-            msgs_framed: outcomes.iter().map(|o| o.endpoint.frame_stats.msgs_framed).sum(),
-        };
-        let finish = outcomes.iter().map(|o| o.node.finish_time).max().unwrap_or(0);
-        // Merge the per-node streams into the sim's canonical normal form:
-        // flush each node's leftover buffers at the global finish time
-        // (exactly what the sim's final `drain_trace_buffers` pass does),
-        // concatenate in node order, then canonicalize — the result is
-        // byte-identical to a sim trace of the same program as long as each
-        // node records the same per-node event sequence, which the
-        // differential trace tests assert.
-        let trace = if trace_mode.is_some() {
-            let mut all: Vec<Event> = Vec::new();
-            for o in &mut outcomes {
-                let Some(r) = &mut o.recorder else { continue };
-                for ev in o.node.take_dsm_trace() {
-                    r.record(Event { t: finish, ev });
-                }
-                if let Some(buf) = &mut o.endpoint.trace {
-                    for e in buf.drain(..) {
-                        r.record(e);
-                    }
-                }
-                all.extend(o.recorder.take().expect("recorder present").into_events());
-            }
-            Some(jsplit_trace::canonicalize(all))
-        } else {
-            None
-        };
-        let (breakdown, lock_stats) = match &trace {
-            Some(evs) => {
-                let cpus: Vec<u32> = vec![self.config.cpus_per_node as u32; outcomes.len()];
-                (
-                    jsplit_trace::node_breakdown(evs, &cpus, finish),
-                    jsplit_trace::lock_contention(evs),
-                )
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-        let wall = if profile_on {
-            Some(WallProfile { nodes: outcomes.iter_mut().filter_map(|o| o.profile.take()).collect() })
-        } else {
-            None
-        };
-        let objprof = self.config.objprof.then(|| {
-            // Outcomes are sorted by node id above, so slice index = id.
-            let profiles: Vec<jsplit_trace::ObjProfile> = outcomes
-                .iter_mut()
-                .map(|o| o.node.take_objprof().unwrap_or_default())
-                .collect();
-            jsplit_trace::build_report(&profiles)
-        });
-        RunReport {
-            exec_time_ps: finish,
-            output: console,
-            errors,
-            deadlocked,
-            aborted,
-            ops: outcomes.iter().map(|o| o.node.ops).sum(),
-            threads: outcomes.iter().map(|o| o.node.spawned_here).sum(),
-            net_per_node: outcomes.iter().map(|o| o.endpoint.stats.clone()).collect(),
-            dsm_per_node: outcomes.iter().filter_map(|o| o.node.dsm_stats()).collect(),
+        let finish = report::finish_time(&nodes);
+        let trace = config.trace.map(|_| tails.into_iter().flat_map(|t| t.close(finish)).collect());
+        let wall = profile_on.then_some(WallProfile { nodes: profiles });
+        let facts = RunFacts {
             rewrite: self.prepared.rewrite,
-            setup_ps: self.setup_ps,
-            class_bytes: self.prepared.class_bytes as u64,
-            event_slab_high_water: outcomes.iter().map(|o| o.slab_high_water).max().unwrap_or(0),
-            ops_per_node: outcomes.iter().map(|o| o.node.ops).collect(),
-            trace,
-            breakdown,
-            lock_stats,
+            class_bytes: self.prepared.class_bytes,
             host_wall_secs,
-            sync,
+            telemetry,
+            trace,
             wall,
-            telemetry: telemetry_summary,
-            opstats: None,
-            objprof,
-        }
+            ..RunFacts::default()
+        };
+        RunReport::fold(&config, nodes, facts)
     }
 }
 
